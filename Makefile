@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet compilerdiag baseline concsurface concbaseline parsafe parsafebaseline check fuzz-cfg fuzz-purity bench benchgate benchrecord gobench figures trace-smoke par-smoke serve-smoke history-smoke
+.PHONY: build test race vet compilerdiag baseline concsurface concbaseline parsafe parsafebaseline check fuzz-cfg fuzz-purity bench benchgate benchrecord gobench figures smoke
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,8 @@ parsafebaseline:
 
 # The full gate: what a PR must keep green.
 check:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) run ./cmd/ookami-vet ./...
@@ -89,46 +91,31 @@ benchgate:
 benchrecord:
 	$(GO) run ./cmd/ookami-bench record -update-baseline
 
-# Trace smoke: run one NPB kernel with tracing on, then exercise both
-# exporters through cmd/ookami-trace — the summary must aggregate and
-# the conversion must round-trip (if ookami-trace reads the converted
-# file, chrome://tracing will too). See docs/OBSERVABILITY.md.
-trace-smoke:
+# Smoke: every product surface end to end, leaving its artifacts for
+# inspection (the `smoke` CI job uploads them).
+#   - trace: one traced NPB kernel through both cmd/ookami-trace
+#     exporters — the summary must aggregate and the conversion must
+#     round-trip (see docs/OBSERVABILITY.md);
+#   - serve: the prediction API on an ephemeral port, every endpoint
+#     over real HTTP, and the cached predict path held to >= 10k req/s
+#     with byte-identical responses (see docs/SERVE.md);
+#   - bench: two cheap workloads gated against the committed baseline
+#     with a loose 3x threshold — order-of-magnitude breakage, not
+#     drift — then a second run through the multi-process fleet, the
+#     history listing and the trend analysis (two runs is below the
+#     default -min-points, so it reports "insufficient history" and
+#     exits 0). See docs/BENCHMARKS.md.
+smoke:
 	$(GO) run ./cmd/npbrun -bench EP -class S -threads 4 -model=false -trace trace_ep.json
 	$(GO) run ./cmd/ookami-trace summary trace_ep.json
 	$(GO) run ./cmd/ookami-trace chrome -o trace_ep.chrome.json trace_ep.json
 	$(GO) run ./cmd/ookami-trace summary trace_ep.chrome.json > /dev/null
-
-# Parallel-execution smoke: the parexec engine and sharded-runner test
-# suites under the race detector (both assert goroutine-leak freedom
-# via testutil.CheckGoroutineLeak), then a small race-built parallel
-# bench sweep and a parallel figure generation diffed byte-for-byte
-# against the engine-less serial output. See docs/BENCHMARKS.md.
-par-smoke:
-	$(GO) test -race -count=1 ./internal/parexec ./internal/bench ./internal/figures -run 'TestEngine|TestRunAllSharded|TestPool|TestMemo|TestDispatch'
-	$(GO) run -race ./cmd/ookami-bench run -parallel 4 -filter 'loops/' -repeats 2 -q -out BENCH_par_smoke.json
-	$(GO) run -race ./cmd/ookami-figures -parallel 4 -only fig1,fig2,expstudy > figs_par_smoke.txt
-	$(GO) run ./cmd/ookami-figures -parallel -1 -only fig1,fig2,expstudy | cmp - figs_par_smoke.txt
-	rm -f BENCH_par_smoke.json figs_par_smoke.txt
-
-# Serve smoke: start the prediction API on an ephemeral port, hit
-# every endpoint over real HTTP (predict, roofline, discovery, bench
-# ingest+compare, rate-limit 429, healthz, metrics), then hold the
-# cached predict path to >= 10k req/s with every response verified
-# byte-identical to the direct library call. See docs/SERVE.md.
-serve-smoke:
 	$(GO) run ./cmd/ookami-serve smoke
-
-# History smoke: the result-history loop end to end — two recorded runs
-# (the second through the multi-process fleet runner), the history
-# listing, and the trend analysis parsing both (two runs is below the
-# default -min-points, so it reports "insufficient history" and exits
-# 0). The workload set matches bench-smoke: cheap and breakage-sensing,
-# not drift-sensing. See docs/BENCHMARKS.md.
-history-smoke:
 	$(GO) build -o ookami-bench.smoke ./cmd/ookami-bench
 	./ookami-bench.smoke run -repeats 3 -filter 'loops/simple|vmath/exp' \
-		-out BENCH_hist_smoke.json -history bench_history_smoke -commit smoke1 -q
+		-history bench_history_smoke -commit smoke1 -q
+	./ookami-bench.smoke compare -baseline internal/bench/baseline/BENCH_ookami.json \
+		-threshold 3.0 -noise-mult 6
 	./ookami-bench.smoke run -repeats 3 -filter 'loops/simple|vmath/exp' -procs 2 \
 		-out BENCH_hist_smoke.json -history bench_history_smoke -commit smoke2 -q
 	./ookami-bench.smoke history -dir bench_history_smoke

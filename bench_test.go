@@ -36,9 +36,13 @@ func benchFigure(b *testing.B, id string, metricName string, metric func() float
 	if !ok {
 		b.Fatalf("unknown figure %s", id)
 	}
+	// A fresh engine per iteration keeps every iteration a cold pass, as
+	// one ookami-figures run is; a shared engine would time memo hits.
+	defer figures.SetEngine(figures.ActiveEngine())
 	var out string
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		figures.SetEngine(nil)
 		out = item.Generate().String()
 	}
 	if out == "" {

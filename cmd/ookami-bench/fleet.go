@@ -144,9 +144,6 @@ func workerArgs(cfg *runConfig, i, n int, outPath string) []string {
 	if cfg.opt.Retries != 0 {
 		args = append(args, "-retries", fmt.Sprint(cfg.opt.Retries))
 	}
-	if cfg.parallel > 1 {
-		args = append(args, "-parallel", fmt.Sprint(cfg.parallel))
-	}
 	return args
 }
 

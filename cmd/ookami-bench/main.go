@@ -9,7 +9,7 @@
 //
 //	ookami-bench list
 //	ookami-bench run [-filter regex] [-repeats n] [-warmup n] [-timeout d]
-//	                 [-cov f] [-retries n] [-parallel n] [-procs n]
+//	                 [-cov f] [-retries n] [-procs n]
 //	                 [-history dir] [-commit id] [-out file] [-trace file]
 //	                 [-json] [-q]
 //	ookami-bench compare [-baseline file] [-current file]
@@ -114,7 +114,7 @@ func usage(p *printer) {
 	p.f("usage: ookami-bench <list|run|compare|record|history|trend> [flags]\n")
 	p.f("  list                      list registered workloads\n")
 	p.f("  run     [-filter re] [-repeats n] [-warmup n] [-timeout d] [-cov f]\n")
-	p.f("          [-retries n] [-parallel n] [-procs n] [-history dir] [-commit id]\n")
+	p.f("          [-retries n] [-procs n] [-history dir] [-commit id]\n")
 	p.f("          [-out file] [-trace file] [-json] [-q]\n")
 	p.f("                            run and store results\n")
 	p.f("  compare [-baseline file] [-current file] [-threshold f] [-noise-mult f]\n")
@@ -168,7 +168,6 @@ type runConfig struct {
 	quiet      bool
 	outPath    string
 	tracePath  string
-	parallel   int
 	procs      int
 	shard      string // internal: "i/n" marks a fleet worker
 	historyDir string
@@ -188,7 +187,6 @@ func runFlags(fs *flag.FlagSet) *runConfig {
 	fs.BoolVar(&cfg.quiet, "q", false, "suppress per-workload progress")
 	fs.StringVar(&cfg.outPath, "out", bench.DefaultReportPath, "result file to write")
 	fs.StringVar(&cfg.tracePath, "trace", "", "trace the run: write Chrome trace_event JSON to `file` (OOKAMI_TRACE also enables)")
-	fs.IntVar(&cfg.parallel, "parallel", 1, "runner shards; >1 fans workloads across goroutines with noisy results re-measured serially (default 1: sequential)")
 	fs.IntVar(&cfg.procs, "procs", 1, "worker processes; >1 fans workloads across self-exec'd workers and merges their reports (default 1: in-process)")
 	fs.StringVar(&cfg.shard, "shard", "", "internal: run only contiguous shard `i/n` of the matched workloads (set by the fleet parent)")
 	fs.StringVar(&cfg.historyDir, "history", "", "also append the report to the result history in `dir`")
@@ -238,7 +236,7 @@ func doRun(cfg *runConfig, out, errOut *printer) int {
 	if cfg.tracePath != "" {
 		trace.Enable()
 	}
-	rep := bench.RunAllSharded(context.Background(), ws, opt, cfg.parallel)
+	rep := bench.RunAll(context.Background(), ws, opt)
 	if tp := effectiveTracePath(cfg.tracePath); tp != "" || trace.Enabled() {
 		if err := trace.Finish(tp, nil); err != nil {
 			errOut.f("ookami-bench: trace: %v\n", err)
@@ -370,11 +368,11 @@ func cmdRecord(args []string, out, errOut *printer) int {
 		errOut.f("ookami-bench: record refuses to overwrite the baseline without -update-baseline\n")
 		return 2
 	}
-	if cfg.parallel > 1 || cfg.procs > 1 {
+	if cfg.procs > 1 {
 		// Committed baselines must carry sequential-fidelity timings.
-		errOut.f("ookami-bench: note: record always runs sequentially; ignoring -parallel/-procs\n")
+		errOut.f("ookami-bench: note: record always runs sequentially; ignoring -procs\n")
 	}
-	cfg.parallel, cfg.procs, cfg.shard = 1, 1, ""
+	cfg.procs, cfg.shard = 1, ""
 	cfg.outPath = *baseline
 	if cfg.opt.Repeats == 0 {
 		// Baselines deserve more samples than ad-hoc runs.

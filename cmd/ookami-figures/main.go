@@ -4,13 +4,13 @@
 //
 // Usage:
 //
-//	ookami-figures [-out results/] [-only fig1,fig2] [-parallel n]
+//	ookami-figures [-out results/] [-only fig1,fig2] [-extras] [-scorecard]
 //
-// -parallel 1 (the default) runs the generators serially through the
-// certified memoized engine; -parallel n > 1 additionally fans
-// independent figures across n workers. Output is printed in paper
-// order and bit-identical in every mode — the engine only memoizes
-// queries certified pure by the parsafe firewall.
+// The generators run through the certified memoized engine, with
+// independent figures fanned across GOMAXPROCS goroutines. Output is
+// printed in paper order and bit-identical to the direct computation —
+// the engine only memoizes queries certified pure by the parsafe
+// firewall.
 package main
 
 import (
@@ -33,12 +33,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated figure ids to generate (default: all)")
 	extras := flag.Bool("extras", false, "also generate the ablation studies beyond the paper")
 	scorecard := flag.Bool("scorecard", false, "print the paper-vs-model audit scorecard and exit")
-	parallel := flag.Int("parallel", 1, "workers for figure generation (1: serial+memoized; 0: GOMAXPROCS; <0: no engine)")
 	flag.Parse()
-
-	eng := engineFor(*parallel)
-	defer eng.Close()
-	figures.SetEngine(eng)
 
 	if *scorecard {
 		fmt.Println(figures.Scorecard())
@@ -73,10 +68,10 @@ func main() {
 		log.Fatalf("no figures matched %q; known ids:\n  %s", *only, knownIDs())
 	}
 
-	// Generate (possibly fanned across the engine's pool), then print and
-	// write strictly in paper order: tables land at their item's index.
+	// Generate fanned across parexec.Map, then print and write strictly
+	// in paper order: tables land at their item's index.
 	tables := make([]*stats.Table, len(selected))
-	eng.Map(len(selected), func(i int) { tables[i] = selected[i].Generate() })
+	parexec.Map(len(selected), func(i int) { tables[i] = selected[i].Generate() })
 	for i, item := range selected {
 		tab := tables[i]
 		fmt.Println(tab)
@@ -92,20 +87,6 @@ func main() {
 	}
 	if *out != "" {
 		log.Printf("wrote %d artifacts to %s", len(selected), *out)
-	}
-}
-
-// engineFor maps the -parallel flag to an engine: negative disables the
-// engine entirely (the pre-engine direct paths), 1 is the serial
-// memoized default, anything else sizes a worker pool.
-func engineFor(parallel int) *parexec.Engine {
-	switch {
-	case parallel < 0:
-		return nil
-	case parallel == 1:
-		return parexec.NewSerial()
-	default:
-		return parexec.New(parallel)
 	}
 }
 

@@ -239,13 +239,13 @@ func (b Breakdown) Text() string {
 // compiled a loop for a machine, and what the schedule model says about
 // the result.
 type Result struct {
-	Toolchain string   `json:"toolchain"`
-	Version   string   `json:"version"`
-	Flags     string   `json:"flags"`
-	Loop      string   `json:"loop"`
-	Machine   string   `json:"machine"`
-	Report    []string `json:"report"` // the compiler's vectorization report
-	Vectorized bool    `json:"vectorized"`
+	Toolchain  string   `json:"toolchain"`
+	Version    string   `json:"version"`
+	Flags      string   `json:"flags"`
+	Loop       string   `json:"loop"`
+	Machine    string   `json:"machine"`
+	Report     []string `json:"report"` // the compiler's vectorization report
+	Vectorized bool     `json:"vectorized"`
 	// SerialCyclesPerElem is set instead of Breakdown when the loop stayed
 	// scalar (GNU's math loops on SVE).
 	SerialCyclesPerElem float64    `json:"serialCyclesPerElem,omitempty"`

@@ -2,23 +2,26 @@ package figures
 
 import "ookami/internal/parexec"
 
-// engine is the optional certified simulation engine behind the
-// generators. The zero value (nil) keeps every query on its original
-// direct code path; SetEngine installs memoization (and, when the engine
-// carries a pool, parallel fan-out for the drivers that use it). The
-// engine only accelerates queries whose entry points are in parexec's
-// certified dispatch table, so installed or not, generated figures are
-// bit-identical — the golden tests run both ways.
+// engine is the certified simulation engine behind the generators: every
+// model query they repeat goes through its memo. The engine only
+// memoizes queries whose entry points are in parexec's certified
+// dispatch table, so generated figures are bit-identical to the direct
+// computation — the golden tests pin that.
 //
 // This package is deliberately outside the parsafe-certified set: holding
 // a reference to the (internally synchronized, mutable) engine here keeps
 // the certified kernel and model packages free of shared state.
-var engine *parexec.Engine
+var engine = parexec.NewSerial()
 
-// SetEngine installs eng for subsequent generator calls (nil restores the
-// direct paths). Call before generating; the variable is not synchronized
-// against concurrent generators.
-func SetEngine(eng *parexec.Engine) { engine = eng }
+// SetEngine installs eng for subsequent generator calls; nil installs a
+// fresh, empty engine. Call before generating; the variable is not
+// synchronized against concurrent generators.
+func SetEngine(eng *parexec.Engine) {
+	if eng == nil {
+		eng = parexec.NewSerial()
+	}
+	engine = eng
+}
 
-// ActiveEngine returns the installed engine (nil when none).
+// ActiveEngine returns the installed engine (never nil).
 func ActiveEngine() *parexec.Engine { return engine }

@@ -25,9 +25,8 @@ import (
 // toolchain on a machine from the instruction-level model (see
 // explain.MathCost for the direct form). Each loop's cycle cost is a
 // certified engine query, so the many ExecFor calls that share a
-// (toolchain, machine) pair compile and schedule them once when an engine
-// is installed. The returned map is freshly built per call either way:
-// ExecParams owns its MathCost.
+// (toolchain, machine) pair compile and schedule them once. The returned
+// map is freshly built per call: ExecParams owns its MathCost.
 func mathCostFor(tc toolchain.Toolchain, m machine.Machine) map[perfmodel.MathFn]float64 {
 	if _, ok := perfmodel.ProfileFor(m.Name); !ok {
 		return nil

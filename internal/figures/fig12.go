@@ -15,9 +15,9 @@ const loopElements = 1 << 20
 // toolchain: modeled A64FX runtime divided by the Intel-on-Skylake
 // runtime.
 // Both modeled runtimes go through the engine's certified LoopRuntime
-// query: with no engine installed that is the direct computation; with
-// one, repeated (toolchain, loop, machine) tuples — the Intel/Skylake
-// denominator is shared by every row — come from the memo cache.
+// query, so repeated (toolchain, loop, machine) tuples — the
+// Intel/Skylake denominator is shared by every row — come from the memo
+// cache.
 func RelativeRuntime(tc toolchain.Toolchain, l toolchain.Loop) float64 {
 	a := engine.LoopRuntime(tc, l, machine.A64FX, loopElements)
 	i := engine.LoopRuntime(toolchain.Intel, l, machine.SkylakeGold6140, loopElements)

@@ -13,26 +13,19 @@ type Cert struct {
 	Func string
 }
 
-// Dispatch is the pool's dispatch table: every model query the engine is
-// willing to memoize or fan out, mapped to the certified-pure function
-// that computes it. The parsafe firewall (cmd/ookami-vet -parsafe,
-// baseline internal/analysis/baseline/parsafe.json) is the source of
-// truth; TestDispatchCertified cross-checks each entry against the
-// recorded baseline so a query can only be added here after the purity
-// analysis has certified its function. Queries not in this table panic
-// at Engine.Run — the gate that keeps uncertified (potentially
-// state-sharing) code out of the worker pool.
+// Dispatch is the engine's dispatch table: every model query the engine
+// is willing to memoize, mapped to the certified-pure function that
+// computes it. The parsafe firewall (cmd/ookami-vet -parsafe, baseline
+// internal/analysis/baseline/parsafe.json) is the source of truth;
+// TestDispatchCertified cross-checks each entry against the recorded
+// baseline so a query can only be added here after the purity analysis
+// has certified its function. Queries not in this table panic at
+// Engine.Run — the gate that keeps uncertified (potentially
+// state-sharing) code out of the shared memo.
 var Dispatch = map[string]Cert{
 	"explain.Predict":            {Pkg: "internal/explain", Func: "Predict"},
-	"toolchain.Compile":          {Pkg: "internal/toolchain", Func: "Toolchain.Compile"},
 	"toolchain.CyclesPerElement": {Pkg: "internal/toolchain", Func: "CompiledLoop.CyclesPerElement"},
 	"toolchain.RuntimeSeconds":   {Pkg: "internal/toolchain", Func: "CompiledLoop.RuntimeSeconds"},
-	"perfmodel.ProfileFor":       {Pkg: "internal/perfmodel", Func: "ProfileFor"},
-	"perfmodel.Schedule":         {Pkg: "internal/perfmodel", Func: "Profile.Schedule"},
-	"perfmodel.CyclesPerElement": {Pkg: "internal/perfmodel", Func: "Profile.CyclesPerElement"},
-	"perfmodel.SecondsFor":       {Pkg: "internal/perfmodel", Func: "Profile.SecondsFor"},
-	"hpcc.ModelStreamTriad":      {Pkg: "internal/hpcc", Func: "ModelStreamTriad"},
-	"hpcc.ModelGUPS":             {Pkg: "internal/hpcc", Func: "ModelGUPS"},
 }
 
 // certify panics unless entry is in the dispatch table. It is called on

@@ -1,3 +1,13 @@
+// Package parexec is the certified simulation engine: a singleflight
+// memo cache for (kernel, config) model queries, plus Map, a stateless
+// fan-out of independent work across GOMAXPROCS goroutines. The engine
+// only memoizes entry points that the interprocedural purity analysis
+// has certified pure (internal/analysis/baseline/parsafe.json) — the
+// dispatch table in certified.go names them, and a test cross-checks
+// every entry against the recorded baseline. That gate is what makes a
+// shared cache trustworthy under concurrent callers: a query that could
+// touch shared mutable state never enters it, so a memoized sweep is
+// bit-identical to the direct computation however it is scheduled.
 package parexec
 
 import (
@@ -9,95 +19,42 @@ import (
 	"ookami/internal/toolchain"
 )
 
-// Engine couples the worker pool with the singleflight memo and exposes
-// the typed, certification-gated model queries the drivers use. A nil
-// *Engine is valid everywhere and means "serial, uncached": each query
-// computes directly, which keeps the default ookami-bench/ookami-figures
-// paths byte-for-byte the code they always ran.
+// Engine exposes the typed, certification-gated model queries the
+// drivers use, each answered through the singleflight memo. It is safe
+// for concurrent use.
 type Engine struct {
-	pool *Pool
 	memo Memo
 }
 
-// New returns an engine backed by a pool of n workers (n <= 0 selects
-// GOMAXPROCS). Memoization is always on for a non-nil engine.
-func New(n int) *Engine {
-	return &Engine{pool: NewPool(n)}
-}
-
-// NewSerial returns an engine with memoization but no worker goroutines:
-// queries run inline, repeated queries hit the cache. This is the engine
-// the drivers use when -parallel is 1 — the wall-time win on single-CPU
-// hosts comes from here.
+// NewSerial returns an engine with an empty, unbounded memo: queries run
+// inline on the caller's goroutine and repeated queries hit the cache.
 func NewSerial() *Engine {
 	return &Engine{}
 }
 
-// Parallel reports whether the engine fans work across workers.
-func (e *Engine) Parallel() bool { return e != nil && e.pool != nil }
-
-// Workers reports the pool size (0 when serial or nil).
-func (e *Engine) Workers() int {
-	if e == nil {
-		return 0
-	}
-	return e.pool.Workers()
-}
-
-// Close joins the pool's workers; safe on nil and serial engines.
-func (e *Engine) Close() {
-	if e != nil {
-		e.pool.Close()
-	}
-}
-
-// MemoStats reports the memo cache's hits and misses.
-func (e *Engine) MemoStats() (hits, misses int) {
-	if e == nil {
-		return 0, 0
-	}
-	return e.memo.Stats()
-}
+// Close releases the engine. The engine owns no goroutines, so there is
+// nothing to join; Close exists so callers can defer it unconditionally.
+func (e *Engine) Close() {}
 
 // SetMemoCapacity bounds the engine's result cache to n entries with LRU
 // eviction (n <= 0 keeps it unbounded). Must be called before the first
 // query; it is how the server keeps a heavy-traffic cache from growing
 // with uptime while figure generation keeps the unbounded default.
 func (e *Engine) SetMemoCapacity(n int) {
-	if e != nil {
-		e.memo.SetCapacity(n)
-	}
+	e.memo.SetCapacity(n)
 }
 
 // MemoMetrics snapshots the memo cache's full counter set (hits, misses,
 // evictions, size, capacity).
 func (e *Engine) MemoMetrics() MemoMetrics {
-	if e == nil {
-		return MemoMetrics{}
-	}
 	return e.memo.Metrics()
-}
-
-// Map fans fn(0)..fn(n-1) across the pool (inline when serial/nil).
-func (e *Engine) Map(n int, fn func(i int)) {
-	if e == nil {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	e.pool.Map(n, fn)
 }
 
 // Run executes one certified model query: entry must name a dispatch-table
 // entry (panics otherwise — the purity gate), key identifies the full
-// input tuple, and fn computes the value on a cache miss. On the nil
-// engine fn runs directly with no gate bypass: certify still fires.
+// input tuple, and fn computes the value on a cache miss.
 func (e *Engine) Run(entry, key string, fn func() any) any {
 	certify(entry)
-	if e == nil {
-		return fn()
-	}
 	return e.memo.Do(entry+"|"+key, fn)
 }
 

@@ -142,13 +142,6 @@ func (m *Memo) removeLocked(e *memoEntry) {
 	}
 }
 
-// Stats reports cache hits and misses so far.
-func (m *Memo) Stats() (hits, misses int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses
-}
-
 // MemoMetrics is the full counter set of a memo cache, for the server's
 // /metrics endpoint and capacity tuning.
 type MemoMetrics struct {

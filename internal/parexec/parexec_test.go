@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,7 @@ import (
 )
 
 // TestDispatchCertified is the purity gate's enforcement test: every entry
-// of the pool's dispatch table must name a function the interprocedural
+// of the engine's dispatch table must name a function the interprocedural
 // purity analysis certified, as recorded in the parsafe baseline. Adding a
 // query to Dispatch without first certifying its entry point fails here.
 func TestDispatchCertified(t *testing.T) {
@@ -55,40 +56,18 @@ func TestCertifyPanicsOnUnknownEntry(t *testing.T) {
 	e.Run("bench.RunAll", "x", func() any { return nil })
 }
 
-func TestPoolMapCoversAllIndices(t *testing.T) {
+// TestMapCoversAllIndices pins Map's contract at the edges of its
+// fan-out: no items, a single inline item, and more items than workers.
+func TestMapCoversAllIndices(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
-	p := NewPool(4)
-	defer p.Close()
-	const n = 100
-	got := make([]int32, n)
-	p.Map(n, func(i int) { atomic.AddInt32(&got[i], 1) })
-	for i, v := range got {
-		if v != 1 {
-			t.Fatalf("index %d executed %d times", i, v)
+	for _, n := range []int{0, 1, runtime.GOMAXPROCS(0) + 3} {
+		got := make([]int32, n)
+		Map(n, func(i int) { atomic.AddInt32(&got[i], 1) })
+		for i, v := range got {
+			if v != 1 {
+				t.Fatalf("n=%d: index %d executed %d times", n, i, v)
+			}
 		}
-	}
-}
-
-func TestPoolCloseIdempotentAndJoins(t *testing.T) {
-	testutil.CheckGoroutineLeak(t)
-	p := NewPool(3)
-	var ran int32
-	p.Submit(func() { atomic.AddInt32(&ran, 1) })
-	p.Close()
-	p.Close() // second close must not panic
-	if ran != 1 {
-		t.Fatalf("submitted task ran %d times", ran)
-	}
-}
-
-func TestNilPoolRunsInline(t *testing.T) {
-	var p *Pool
-	ran := 0
-	p.Submit(func() { ran++ })
-	p.Map(3, func(int) { ran++ })
-	p.Close()
-	if ran != 4 || p.Workers() != 0 {
-		t.Fatalf("nil pool: ran=%d workers=%d", ran, p.Workers())
 	}
 }
 
@@ -121,9 +100,8 @@ func TestMemoSingleflight(t *testing.T) {
 			t.Fatalf("caller %d got %v", i, r)
 		}
 	}
-	hits, misses := m.Stats()
-	if misses != 1 || hits != callers-1 {
-		t.Fatalf("stats hits=%d misses=%d, want %d/1", hits, misses, callers-1)
+	if mm := m.Metrics(); mm.Misses != 1 || mm.Hits != callers-1 {
+		t.Fatalf("metrics hits=%d misses=%d, want %d/1", mm.Hits, mm.Misses, callers-1)
 	}
 }
 
@@ -233,9 +211,10 @@ func TestEngineMemoCapacityMetrics(t *testing.T) {
 }
 
 // TestEngineMatchesDirect pins the memoized query to the direct
-// computation for every (toolchain, loop) pair on both machines, serial
-// and parallel — the bit-identical guarantee the golden CSV test relies
-// on at the sweep level.
+// computation for every (toolchain, loop) pair on both machines, with
+// the queries fanned across Map onto one shared engine — the
+// bit-identical guarantee the golden CSV test relies on at the sweep
+// level.
 func TestEngineMatchesDirect(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	type q struct {
@@ -259,17 +238,14 @@ func TestEngineMatchesDirect(t *testing.T) {
 		}
 		return x.tc.Compile(x.l, x.m).CyclesPerElement(prof)
 	}
-	for _, eng := range []*Engine{nil, NewSerial(), New(4)} {
-		got := make([]float64, len(qs))
-		eng.Map(len(qs), func(i int) { got[i] = eng.LoopCycles(qs[i].tc, qs[i].l, qs[i].m) })
-		for i, x := range qs {
-			want := direct(x)
-			if math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Errorf("engine(workers=%d) %s/%s on %s: got %v want %v",
-					eng.Workers(), x.tc.Name, x.l, x.m.Name, got[i], want)
-			}
+	eng := NewSerial()
+	got := make([]float64, len(qs))
+	Map(len(qs), func(i int) { got[i] = eng.LoopCycles(qs[i].tc, qs[i].l, qs[i].m) })
+	for i, x := range qs {
+		want := direct(x)
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Errorf("%s/%s on %s: got %v want %v", x.tc.Name, x.l, x.m.Name, got[i], want)
 		}
-		eng.Close()
 	}
 }
 
@@ -280,9 +256,8 @@ func TestEngineMemoHits(t *testing.T) {
 	if first != second {
 		t.Fatalf("memoized value changed: %v then %v", first, second)
 	}
-	hits, misses := e.MemoStats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", hits, misses)
+	if mm := e.MemoMetrics(); mm.Hits != 1 || mm.Misses != 1 {
+		t.Fatalf("hits=%d misses=%d, want 1/1", mm.Hits, mm.Misses)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // path over real HTTP, with every response verified byte-identical to
 // the direct library call. The 10k req/s floor is asserted without the
 // race detector (the instrumented build is ~10x slower and proves
-// race-freedom instead); `ookami-serve smoke` and the serve-smoke CI job
-// hold the same floor on a plain build.
+// race-freedom instead); `ookami-serve smoke`, run by `make smoke`, holds
+// the same floor on a plain build.
 func TestLoadCachedPredictPath(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	s := newTestServer(t, Config{})

@@ -115,9 +115,9 @@ type Server struct {
 	draining atomic.Bool
 }
 
-// New builds a server. The model engine is the serial certified engine:
-// per-query evaluation is microseconds, so the win is the singleflight
-// memo (coalescing + bounded LRU), not a worker pool.
+// New builds a server. Model queries go through the certified memo
+// engine: concurrent identical queries coalesce, and completed answers
+// are served from its bounded LRU.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{

@@ -15,8 +15,8 @@ import (
 	"ookami/internal/explain"
 )
 
-// Smoke is the end-to-end self-test behind `ookami-serve smoke` and the
-// serve-smoke CI job: a real server on an ephemeral port, every endpoint
+// Smoke is the end-to-end self-test behind `ookami-serve smoke` (run by
+// `make smoke`): a real server on an ephemeral port, every endpoint
 // exercised over real HTTP, a rate-limit probe, a cached-path load burst
 // held to floor req/s with every response checked byte-identical to the
 // direct library call, and a clean drain.
