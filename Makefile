@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet compilerdiag baseline concsurface concbaseline parsafe parsafebaseline check fuzz-cfg fuzz-purity bench benchgate benchrecord gobench figures smoke
+.PHONY: build test race vet compilerdiag baseline concsurface concbaseline parsafe parsafebaseline check fuzz-cfg fuzz-purity fuzz-sched bench benchgate benchrecord gobench figures smoke
 
 build:
 	$(GO) build ./...
@@ -72,6 +72,12 @@ fuzz-cfg:
 # without panicking.
 fuzz-purity:
 	$(GO) test ./internal/analysis/purity -fuzz=FuzzSummarize -fuzztime=30s
+
+# Short fuzz pass over the scheduler: on any body and profile, the
+# event-driven core must match the cycle-stepped reference exactly
+# (total cycles, every issue event, the utilization).
+fuzz-sched:
+	$(GO) test ./internal/perfmodel -run '^$$' -fuzz=FuzzScheduleEquivalence -fuzztime=30s
 
 # Run the registered workloads through the orchestrator and store
 # BENCH_ookami.json (warmup + repeats, CoV interference gate, bootstrap

@@ -62,26 +62,19 @@ func UnrollAblation() *stats.Table {
 // SqrtStrategyAblation compares the blocking-FSQRT and Newton-iteration
 // square roots on both modeled machines — the decision behind Figure 2's
 // 20x gap. It quantifies why the same instruction choice is nearly
-// harmless on Skylake and catastrophic on A64FX.
+// harmless on Skylake and catastrophic on A64FX. The three toolchain
+// loops are Fig. 2's own (toolchain, loop, machine) queries, so they come
+// from the engine's memo; only the Newton-on-Skylake variant, which no
+// shipped toolchain emits, is compiled here.
 func SqrtStrategyAblation() *stats.Table {
 	t := stats.NewTable("Ablation: sqrt strategy, cycles/element",
 		"machine", "blocking FSQRT", "Newton (FRSQRTE+3 steps)", "penalty")
-	for _, row := range []struct {
-		name string
-		tcB  toolchain.Toolchain // picks blocking (GNU)
-		tcN  toolchain.Toolchain // picks Newton (Fujitsu / Intel)
-		m    machine.Machine
-	}{
-		{"A64FX", toolchain.GNU, toolchain.Fujitsu, machine.A64FX},
-	} {
-		prof, _ := perfmodel.ProfileFor(row.m.Name)
-		b := row.tcB.Compile(toolchain.LoopSqrt, row.m).CyclesPerElement(prof)
-		n := row.tcN.Compile(toolchain.LoopSqrt, row.m).CyclesPerElement(prof)
-		t.AddRow(row.name, stats.Format3(b), stats.Format3(n), stats.Format3(b/n)+"x")
-	}
-	// Skylake: both strategies through the scheduler directly.
+	// Blocking: GNU emits FSQRT; Newton: Fujitsu emits FRSQRTE + steps.
+	blocking := engine.LoopCycles(toolchain.GNU, toolchain.LoopSqrt, machine.A64FX)
+	newtonA64 := engine.LoopCycles(toolchain.Fujitsu, toolchain.LoopSqrt, machine.A64FX)
+	t.AddRow("A64FX", stats.Format3(blocking), stats.Format3(newtonA64), stats.Format3(blocking/newtonA64)+"x")
+	intel := engine.LoopCycles(toolchain.Intel, toolchain.LoopSqrt, machine.SkylakeGold6140)
 	skx, _ := perfmodel.ProfileFor(machine.SkylakeGold6140.Name)
-	intel := toolchain.Intel.Compile(toolchain.LoopSqrt, machine.SkylakeGold6140).CyclesPerElement(skx)
 	newton := toolchain.Toolchain{
 		Name: "Intel", Version: "x", ForISA: machine.AVX512,
 		Style: toolchain.Fixed, Unroll: 4, Math: toolchain.TierSVML,

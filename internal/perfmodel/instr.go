@@ -79,6 +79,10 @@ const (
 	numPipeKinds
 )
 
+func (k pipeKind) String() string {
+	return [...]string{"FP", "load", "store", "int"}[k]
+}
+
 // pipeTab maps every Op to its pipe. Built once at init from the same
 // classification pipe() used to encode as a switch; the scheduler's issue
 // loop indexes this array directly.

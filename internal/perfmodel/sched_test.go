@@ -2,7 +2,10 @@ package perfmodel
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"ookami/internal/machine"
 )
 
 func TestBodyValidate(t *testing.T) {
@@ -244,5 +247,54 @@ func TestCostOfDefault(t *testing.T) {
 	p := A64FXProfile
 	if c := p.CostOf(CALL); c.Latency != 1 || c.Occupancy != 1 {
 		t.Errorf("default cost = %+v", c)
+	}
+}
+
+func TestDegenerateProfilesPanic(t *testing.T) {
+	// A profile that cannot issue some op of the body used to spin up to
+	// the cycle cap and return a truncated count (0, 24 or 4430 cycles
+	// here), so CyclesPerElement read 0. It must fail loudly instead.
+	body := Body{I(LOAD), I(FSQRT, 0), I(STORE, 1)}
+	slowSqrt := map[Op]Cost{}
+	for op, c := range A64FXProfile.Costs {
+		slowSqrt[op] = c
+	}
+	slowSqrt[FSQRT] = Cost{Latency: 1 << 21, Occupancy: 1 << 21}
+	for _, tc := range []struct {
+		name string
+		edit func(*Profile)
+		want string
+	}{
+		{"window 0", func(p *Profile) { p.Window = 0 }, "window 0"},
+		{"issue width 0", func(p *Profile) { p.IssueWidth = 0 }, "issue width 0"},
+		{"no FP pipe", func(p *Profile) { p.FPPipes = 0 }, "no FP pipe to issue FSQRT"},
+		{"no store pipe", func(p *Profile) { p.StorePipes = 0 }, "no store pipe to issue STORE"},
+		{"cycle cap", func(p *Profile) { p.Costs = slowSqrt }, "did not finish 192 instructions"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := A64FXProfile
+			tc.edit(&p)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("panic %q, want one naming %q", msg, tc.want)
+				}
+			}()
+			got := p.Schedule(body, 64)
+			t.Errorf("Schedule returned %d cycles instead of panicking", got)
+		})
+	}
+}
+
+func TestScheduleAllocsIndependentOfIters(t *testing.T) {
+	// The run state is a handful of flat slices: no per-instruction
+	// allocation, so doubling the iterations must not add allocations.
+	p, _ := ProfileFor(machine.A64FX.Name)
+	body := Body{I(LOAD), I(FMA, 0), IC(FADD, []int{1}, []int{2}), I(FSQRT, 2), I(STORE, 3), I(INT), I(BRANCH, 5)}
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(20, func() { p.Schedule(body, iters) })
+	}
+	if a64, a128 := allocs(64), allocs(128); a128 != a64 {
+		t.Errorf("Schedule allocates %v times at 64 iterations but %v at 128", a64, a128)
 	}
 }

@@ -30,126 +30,35 @@ type Utilization struct {
 }
 
 // ScheduleTrace simulates iters iterations of body and returns the issue
-// trace plus utilization. Semantics are identical to Schedule (same
-// algorithm, instrumented).
+// trace plus utilization. It is the same run as Schedule, recorded.
 func (p *Profile) ScheduleTrace(body Body, iters int) ([]IssueEvent, Utilization) {
 	if len(body) == 0 || iters == 0 {
 		return nil, Utilization{}
 	}
-	if !body.Validate() {
-		panic("perfmodel: invalid body")
-	}
-	n := len(body)
-	total := n * iters
-	instrs := make([]schedInstr, total)
-	for k := 0; k < iters; k++ {
-		off := k * n
-		for i, ins := range body {
-			si := schedInstr{op: ins.Op, done: -1}
-			for _, d := range ins.Deps {
-				si.deps = append(si.deps, off+d)
-			}
-			if k > 0 {
-				for _, c := range ins.Carried {
-					si.deps = append(si.deps, off-n+c)
-				}
-			}
-			instrs[off+i] = si
-		}
-	}
-	costs := p.costTab
-	if costs == nil {
-		costs = p.buildCostTable()
-	}
-	var busy [numPipeKinds][]int
-	busy[pipeFP] = make([]int, p.FPPipes)
-	busy[pipeLoad] = make([]int, p.LoadPipes)
-	busy[pipeStore] = make([]int, p.StorePipes)
-	busy[pipeInt] = make([]int, p.IntPipes)
+	total := len(body) * iters
 	events := make([]IssueEvent, total)
 	var util Utilization
-
-	head, tail, cycle := 0, 0, 0
-	const maxCycles = 1 << 26
-	for head < total && cycle < maxCycles {
-		for head < total && instrs[head].issued && instrs[head].done <= cycle {
-			head++
-		}
-		for tail < total && tail-head < p.Window {
-			tail++
-		}
-		issued := 0
-		for gi := head; gi < tail && issued < p.IssueWidth; gi++ {
-			ins := &instrs[gi]
-			if ins.issued {
-				continue
-			}
-			ready := true
-			for _, d := range ins.deps {
-				dep := &instrs[d]
-				if !dep.issued || dep.done > cycle {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			kind := pipeTab[ins.op]
-			slots := busy[kind]
-			slot := -1
-			if ins.op == FDIV || ins.op == FSQRT {
-				if len(slots) > 0 && slots[0] <= cycle {
-					slot = 0
-				}
-			} else {
-				for s := range slots {
-					if s == 0 && kind == pipeFP && slots[0] > cycle {
-						continue
-					}
-					if slots[s] <= cycle {
-						slot = s
-						break
-					}
-				}
-			}
-			if slot < 0 {
-				continue
-			}
-			c := costs[ins.op]
-			slots[slot] = cycle + c.Occupancy
-			ins.issued = true
-			ins.done = cycle + c.Latency
-			events[gi] = IssueEvent{
-				Iter: gi / n, Index: gi % n, Op: ins.op,
-				Issue: cycle, Done: ins.done,
-			}
-			switch kind {
-			case pipeFP:
-				util.FPBusy += c.Occupancy
-			case pipeLoad:
-				util.LoadBusy += c.Occupancy
-			case pipeStore:
-				util.StoreBusy += c.Occupancy
-			default:
-				util.IntBusy += c.Occupancy
-			}
-			issued++
-		}
-		cycle++
-	}
-	last := 0
-	for i := range instrs {
-		if instrs[i].done > last {
-			last = instrs[i].done
-		}
-	}
+	last := p.scheduleCore(body, iters, events, &util)
 	util.Cycles = last
 	util.Instructions = total
 	if last > 0 {
 		util.IPC = float64(total) / float64(last)
 	}
 	return events, util
+}
+
+// busy adds occupancy cycles to the pipe kind's busy count.
+func (u *Utilization) busy(kind pipeKind, occupancy int) {
+	switch kind {
+	case pipeFP:
+		u.FPBusy += occupancy
+	case pipeLoad:
+		u.LoadBusy += occupancy
+	case pipeStore:
+		u.StoreBusy += occupancy
+	default:
+		u.IntBusy += occupancy
+	}
 }
 
 // Explain renders a human-readable cost breakdown of a body on this

@@ -5,27 +5,6 @@ import (
 	"testing"
 )
 
-func TestScheduleTraceMatchesSchedule(t *testing.T) {
-	// The instrumented simulation must reach the same total-cycle result
-	// as the plain one for a variety of bodies.
-	bodies := []Body{
-		{I(LOAD), I(FMA, 0), I(STORE, 1)},
-		{IC(FMA, nil, []int{0})},
-		{I(LOAD), I(FSQRT, 0), I(STORE, 1)},
-		{I(FMA), I(FMA), I(FMA), I(FMA), I(INT), I(BRANCH)},
-	}
-	for _, p := range []*Profile{&A64FXProfile, &SkylakeProfile} {
-		for bi, body := range bodies {
-			want := p.Schedule(body, 32)
-			_, util := p.ScheduleTrace(body, 32)
-			if util.Cycles != want {
-				t.Errorf("%s body %d: trace %d cycles, schedule %d",
-					p.Name, bi, util.Cycles, want)
-			}
-		}
-	}
-}
-
 func TestTraceEventsWellFormed(t *testing.T) {
 	p := A64FXProfile
 	body := Body{I(LOAD), I(FMA, 0), I(FMUL, 1), I(STORE, 2)}
