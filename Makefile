@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet compilerdiag baseline concsurface concbaseline parsafe parsafebaseline check fuzz-cfg fuzz-purity fuzz-sched bench benchgate benchrecord gobench figures smoke
+.PHONY: build test race vet compilerdiag concsurface parsafe baselines check fuzz-cfg fuzz-purity fuzz-sched bench benchgate benchrecord gobench figures smoke
 
 build:
 	$(GO) build ./...
@@ -23,21 +23,11 @@ vet:
 compilerdiag:
 	$(GO) run ./cmd/ookami-vet -compilerdiag
 
-# Re-record the compilerdiag baseline after an intentional codegen
-# change. The resulting JSON diff is part of the PR under review.
-baseline:
-	$(GO) run ./cmd/ookami-vet -compilerdiag -update-baseline
-
 # Diff the concurrency surface (goroutine spawns, lock acquisitions,
 # channel makes) of the simulated-runtime packages against the
 # checked-in baseline; any new site fails until acknowledged.
 concsurface:
 	$(GO) run ./cmd/ookami-vet -concsurface
-
-# Re-record the concurrency-surface baseline after an intentionally
-# added spawn/lock/chan site. The JSON diff is part of the PR review.
-concbaseline:
-	$(GO) run ./cmd/ookami-vet -concsurface -update-baseline
 
 # Diff the certified //ookami:pure entry points' transitive effect sets
 # against the checked-in baseline; a certified function gaining an
@@ -45,10 +35,14 @@ concbaseline:
 parsafe:
 	$(GO) run ./cmd/ookami-vet -parsafe
 
-# Re-record the parallel-safety baseline after certifying new entry
-# points or an acknowledged effect change. The JSON diff is part of the
-# PR under review.
-parsafebaseline:
+# Re-record all three firewall baselines (compilerdiag, concsurface,
+# parsafe) after an intentional codegen change, an added or removed
+# spawn/lock/chan site, or a newly certified entry point. Re-recording
+# an unchanged surface is a no-op, so the JSON diff under review shows
+# exactly the acknowledged change.
+baselines:
+	$(GO) run ./cmd/ookami-vet -compilerdiag -update-baseline
+	$(GO) run ./cmd/ookami-vet -concsurface -update-baseline
 	$(GO) run ./cmd/ookami-vet -parsafe -update-baseline
 
 # The full gate: what a PR must keep green.
@@ -105,12 +99,13 @@ benchrecord:
 #   - serve: the prediction API on an ephemeral port, every endpoint
 #     over real HTTP, and the cached predict path held to >= 10k req/s
 #     with byte-identical responses (see docs/SERVE.md);
-#   - bench: two cheap workloads gated against the committed baseline
-#     with a loose 3x threshold — order-of-magnitude breakage, not
-#     drift — then a second run through the multi-process fleet, the
-#     history listing and the trend analysis (two runs is below the
-#     default -min-points, so it reports "insufficient history" and
-#     exits 0). See docs/BENCHMARKS.md.
+#   - bench: every ookami-bench subcommand. The registry listing; two
+#     cheap workloads gated against the committed baseline with a loose
+#     3x threshold — order-of-magnitude breakage, not drift; a record
+#     into a scratch baseline file; then a second run into the same
+#     history, the history listing and the trend analysis (two runs is
+#     below the default -min-points, so it reports "insufficient
+#     history" and exits 0). See docs/BENCHMARKS.md.
 smoke:
 	$(GO) run ./cmd/npbrun -bench EP -class S -threads 4 -model=false -trace trace_ep.json
 	$(GO) run ./cmd/ookami-trace summary trace_ep.json
@@ -118,15 +113,18 @@ smoke:
 	$(GO) run ./cmd/ookami-trace summary trace_ep.chrome.json > /dev/null
 	$(GO) run ./cmd/ookami-serve smoke
 	$(GO) build -o ookami-bench.smoke ./cmd/ookami-bench
+	./ookami-bench.smoke list > /dev/null
 	./ookami-bench.smoke run -repeats 3 -filter 'loops/simple|vmath/exp' \
 		-history bench_history_smoke -commit smoke1 -q
 	./ookami-bench.smoke compare -baseline internal/bench/baseline/BENCH_ookami.json \
 		-threshold 3.0 -noise-mult 6
-	./ookami-bench.smoke run -repeats 3 -filter 'loops/simple|vmath/exp' -procs 2 \
+	./ookami-bench.smoke record -update-baseline -baseline BENCH_record_smoke.json \
+		-repeats 3 -filter '^loops/simple$$' -q
+	./ookami-bench.smoke run -repeats 3 -filter 'loops/simple|vmath/exp' \
 		-out BENCH_hist_smoke.json -history bench_history_smoke -commit smoke2 -q
 	./ookami-bench.smoke history -dir bench_history_smoke
 	./ookami-bench.smoke trend -dir bench_history_smoke -threshold 3.0 -noise-mult 6
-	rm -f ookami-bench.smoke BENCH_hist_smoke.json
+	rm -f ookami-bench.smoke BENCH_hist_smoke.json BENCH_record_smoke.json
 
 # The raw `go test -bench` harness (figures/tables + kernel wall-clock).
 gobench:

@@ -9,7 +9,7 @@
 //
 //	ookami-bench list
 //	ookami-bench run [-filter regex] [-repeats n] [-warmup n] [-timeout d]
-//	                 [-cov f] [-retries n] [-procs n]
+//	                 [-cov f] [-retries n]
 //	                 [-history dir] [-commit id] [-out file] [-trace file]
 //	                 [-json] [-q]
 //	ookami-bench compare [-baseline file] [-current file]
@@ -19,12 +19,11 @@
 //	ookami-bench trend [-dir d] [-last n] [-filter regex]
 //	                   [-threshold f] [-noise-mult f] [-min-points n] [-json]
 //
-// `run` writes BENCH_ookami.json (override with -out) and exits
-// nonzero if any workload hard-fails (setup error, panic, timeout);
-// with -history it also appends the report to the result history, and
-// with -procs > 1 it fans the workloads across worker processes
-// (self-exec with an internal -shard flag) and merges their reports in
-// input order. `compare` exits nonzero when any workload regresses.
+// `run` measures the workloads one after another in this process
+// (co-running workloads would time each other), writes
+// BENCH_ookami.json (override with -out) and exits nonzero if any
+// workload hard-fails (setup error, panic, timeout); with -history it
+// also appends the report to the result history. `compare` exits nonzero when any workload regresses.
 // `record` re-runs everything and rewrites the committed baseline under
 // internal/bench/baseline/; the diff is part of the PR under review.
 // `history` lists the stored runs; `trend` analyzes them for drift and
@@ -114,7 +113,7 @@ func usage(p *printer) {
 	p.f("usage: ookami-bench <list|run|compare|record|history|trend> [flags]\n")
 	p.f("  list                      list registered workloads\n")
 	p.f("  run     [-filter re] [-repeats n] [-warmup n] [-timeout d] [-cov f]\n")
-	p.f("          [-retries n] [-procs n] [-history dir] [-commit id]\n")
+	p.f("          [-retries n] [-history dir] [-commit id]\n")
 	p.f("          [-out file] [-trace file] [-json] [-q]\n")
 	p.f("                            run and store results\n")
 	p.f("  compare [-baseline file] [-current file] [-threshold f] [-noise-mult f]\n")
@@ -159,8 +158,7 @@ func paramString(params map[string]string) string {
 	return s + "]"
 }
 
-// runConfig carries every `run`/`record` flag as one value, so the
-// fleet path can rebuild a worker's command line from the parent's.
+// runConfig carries every `run`/`record` flag as one value.
 type runConfig struct {
 	filter     string
 	opt        bench.Options
@@ -168,8 +166,6 @@ type runConfig struct {
 	quiet      bool
 	outPath    string
 	tracePath  string
-	procs      int
-	shard      string // internal: "i/n" marks a fleet worker
 	historyDir string
 	commit     string
 }
@@ -187,8 +183,6 @@ func runFlags(fs *flag.FlagSet) *runConfig {
 	fs.BoolVar(&cfg.quiet, "q", false, "suppress per-workload progress")
 	fs.StringVar(&cfg.outPath, "out", bench.DefaultReportPath, "result file to write")
 	fs.StringVar(&cfg.tracePath, "trace", "", "trace the run: write Chrome trace_event JSON to `file` (OOKAMI_TRACE also enables)")
-	fs.IntVar(&cfg.procs, "procs", 1, "worker processes; >1 fans workloads across self-exec'd workers and merges their reports (default 1: in-process)")
-	fs.StringVar(&cfg.shard, "shard", "", "internal: run only contiguous shard `i/n` of the matched workloads (set by the fleet parent)")
 	fs.StringVar(&cfg.historyDir, "history", "", "also append the report to the result history in `dir`")
 	fs.StringVar(&cfg.commit, "commit", "", "commit id recorded on the history entry (default: unknown)")
 	return cfg
@@ -204,30 +198,18 @@ func cmdRun(args []string, out, errOut *printer) int {
 	return doRun(cfg, out, errOut)
 }
 
-// doRun executes the selected workloads — in process, as one fleet
-// worker's shard, or as the fleet parent — and writes the report.
+// doRun executes the selected workloads in process, one after
+// another, stores the report (file, optional stdout JSON, optional
+// history append) and turns hard failures into the exit code.
 func doRun(cfg *runConfig, out, errOut *printer) int {
 	ws, err := bench.Match(cfg.filter)
 	if err != nil {
 		errOut.f("ookami-bench: %v\n", err)
 		return 2
 	}
-	if cfg.shard != "" {
-		i, n, err := bench.ParseShard(cfg.shard)
-		if err != nil {
-			errOut.f("ookami-bench: %v\n", err)
-			return 2
-		}
-		lo, hi := bench.ShardRange(i, n, len(ws))
-		// An empty shard (more workers than workloads) writes an empty
-		// report rather than failing: the parent merges it away.
-		ws = ws[lo:hi]
-	} else if len(ws) == 0 {
+	if len(ws) == 0 {
 		errOut.f("ookami-bench: no workloads match %q\n", cfg.filter)
 		return 2
-	}
-	if cfg.procs > 1 && cfg.shard == "" {
-		return runFleet(cfg, len(ws), out, errOut)
 	}
 	opt := cfg.opt
 	if !cfg.quiet {
@@ -246,13 +228,6 @@ func doRun(cfg *runConfig, out, errOut *printer) int {
 			errOut.f("ookami-bench: trace -> %s\n", tp)
 		}
 	}
-	return finishRun(cfg, rep, out, errOut)
-}
-
-// finishRun stores the report (file, optional stdout JSON, optional
-// history append) and turns hard failures into the exit code. Both the
-// in-process path and the fleet parent end here.
-func finishRun(cfg *runConfig, rep *bench.Report, out, errOut *printer) int {
 	if err := rep.WriteFile(cfg.outPath); err != nil {
 		errOut.f("ookami-bench: %v\n", err)
 		return 1
@@ -265,7 +240,7 @@ func finishRun(cfg *runConfig, rep *bench.Report, out, errOut *printer) int {
 			return 1
 		}
 	}
-	if cfg.historyDir != "" && cfg.shard == "" {
+	if cfg.historyDir != "" {
 		entry, err := bench.AppendHistory(cfg.historyDir, cfg.commit, rep)
 		if err != nil {
 			errOut.f("ookami-bench: %v\n", err)
@@ -368,11 +343,6 @@ func cmdRecord(args []string, out, errOut *printer) int {
 		errOut.f("ookami-bench: record refuses to overwrite the baseline without -update-baseline\n")
 		return 2
 	}
-	if cfg.procs > 1 {
-		// Committed baselines must carry sequential-fidelity timings.
-		errOut.f("ookami-bench: note: record always runs sequentially; ignoring -procs\n")
-	}
-	cfg.procs, cfg.shard = 1, ""
 	cfg.outPath = *baseline
 	if cfg.opt.Repeats == 0 {
 		// Baselines deserve more samples than ad-hoc runs.

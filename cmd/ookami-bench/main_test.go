@@ -15,17 +15,6 @@ import (
 	"ookami/internal/testutil"
 )
 
-// TestMain doubles as the fleet worker entry point: when the fleet
-// parent is the test binary (os.Executable() under `go test`), the
-// worker marker routes the child into run() instead of the test
-// driver, so the multi-process path is exercised end to end in tests.
-func TestMain(m *testing.M) {
-	if os.Getenv("OOKAMI_BENCH_WORKER") == "1" {
-		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-	}
-	os.Exit(m.Run())
-}
-
 // TestRegistryCoverage pins the acceptance floor: the linked kernel
 // packages must register at least 12 workloads, spanning every suite.
 func TestRegistryCoverage(t *testing.T) {
@@ -194,84 +183,6 @@ func TestCompareRejectsWrongSchema(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-// TestRunShardFlag pins worker-mode slicing: -shard i/n runs only the
-// i-th contiguous slice of the matched (sorted) workload list, and an
-// empty shard writes an empty report instead of failing.
-func TestRunShardFlag(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "shard.json")
-	var out, errOut bytes.Buffer
-	code := run([]string{"run", "-filter", `^loops/(simple|sqrt)$`, "-shard", "1/2",
-		"-repeats", "2", "-cov", "10", "-out", path, "-q"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("shard run exited %d: %s", code, errOut.String())
-	}
-	rep, err := bench.LoadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 1 || rep.Results[0].Name != "loops/sqrt" {
-		t.Errorf("shard 1/2 results = %+v, want just loops/sqrt", rep.Results)
-	}
-
-	// More workers than workloads: the surplus shard is empty, not an error.
-	code = run([]string{"run", "-filter", `^loops/(simple|sqrt)$`, "-shard", "3/4",
-		"-repeats", "2", "-cov", "10", "-out", path, "-q"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("empty shard exited %d: %s", code, errOut.String())
-	}
-	if rep, err = bench.LoadReport(path); err != nil || len(rep.Results) != 0 {
-		t.Errorf("empty shard report: %v, %+v", err, rep.Results)
-	}
-
-	if code := run([]string{"run", "-shard", "2/2"}, &out, &errOut); code != 2 {
-		t.Errorf("bad shard exit = %d, want 2", code)
-	}
-}
-
-// TestFleetMatchesSequentialOrdering is the fleet acceptance check: a
-// multi-process run must merge its per-worker reports into the exact
-// result ordering of a sequential run over the same filter.
-func TestFleetMatchesSequentialOrdering(t *testing.T) {
-	testutil.CheckGoroutineLeak(t)
-	dir := t.TempDir()
-	seqPath := filepath.Join(dir, "seq.json")
-	fleetPath := filepath.Join(dir, "fleet.json")
-	const filter = `^loops/(predicate|recip|simple|sqrt)$`
-	var out, errOut bytes.Buffer
-	if code := run([]string{"run", "-filter", filter, "-repeats", "2", "-cov", "10",
-		"-out", seqPath, "-q"}, &out, &errOut); code != 0 {
-		t.Fatalf("sequential run exited %d: %s", code, errOut.String())
-	}
-	if code := run([]string{"run", "-filter", filter, "-repeats", "2", "-cov", "10",
-		"-procs", "3", "-out", fleetPath, "-q"}, &out, &errOut); code != 0 {
-		t.Fatalf("fleet run exited %d: %s", code, errOut.String())
-	}
-	seq, err := bench.LoadReport(seqPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet, err := bench.LoadReport(fleetPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fleet.Results) != len(seq.Results) {
-		t.Fatalf("fleet ran %d workloads, sequential %d", len(fleet.Results), len(seq.Results))
-	}
-	for i := range seq.Results {
-		if fleet.Results[i].Name != seq.Results[i].Name {
-			t.Errorf("result %d: fleet %q, sequential %q (merged order must match)",
-				i, fleet.Results[i].Name, seq.Results[i].Name)
-		}
-		if fleet.Results[i].Failed() {
-			t.Errorf("%s failed under fleet: %s", fleet.Results[i].Name, fleet.Results[i].Error)
-		}
-	}
-	if fleet.Env != seq.Env {
-		t.Errorf("fleet env %+v != sequential env %+v", fleet.Env, seq.Env)
-	}
 }
 
 // TestHistoryAndTrendE2E is the drift acceptance check: three runs

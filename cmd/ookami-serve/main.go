@@ -1,17 +1,14 @@
 // Command ookami-serve runs the multi-tenant prediction API over the
 // performance model: POST /v1/predict answers kernel × toolchain ×
 // machine × threads what-if queries, GET /v1/roofline and the discovery
-// endpoints expose the model's query surface, and POST /v1/bench/runs +
-// GET /v1/bench/compare ingest benchmark reports and diff them against
-// the committed baseline. With -history, ingested runs are also
-// appended to the on-disk result history and GET /v1/bench/history +
-// GET /v1/bench/trend expose the stored runs and the drift analysis
-// over them. See docs/SERVE.md for the API reference.
+// endpoints expose the model's query surface. Benchmark runs, their
+// comparison and their history belong to ookami-bench. See
+// docs/SERVE.md for the API reference.
 //
 // Usage:
 //
 //	ookami-serve [-addr :8080] [-cache 4096] [-rate 50] [-burst 100]
-//	             [-baseline file] [-history dir]
+//	             [-drain 10s]
 //	ookami-serve smoke    # self-test: start, hit every endpoint, load burst
 package main
 
@@ -52,8 +49,6 @@ func run(args []string) error {
 	cache := fs.Int("cache", 4096, "prediction cache capacity (entries; negative = unbounded)")
 	rate := fs.Float64("rate", 50, "per-tenant request rate on /v1/ (req/s; negative = unlimited)")
 	burst := fs.Int("burst", 100, "per-tenant burst (token bucket depth)")
-	baseline := fs.String("baseline", "", "benchmark baseline path for /v1/bench/compare")
-	history := fs.String("history", "", "result history directory for /v1/bench/history and /v1/bench/trend (empty: disabled)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown deadline")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -63,8 +58,6 @@ func run(args []string) error {
 		CacheCapacity: *cache,
 		Rate:          *rate,
 		Burst:         *burst,
-		BaselinePath:  *baseline,
-		HistoryDir:    *history,
 	})
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -6,7 +6,7 @@ import (
 )
 
 // GoldenPackages are the packages whose output is pinned by golden files
-// (internal/figures/testdata/*.golden) or checksum references; any
+// (results/*.txt and results/*.csv) or checksum references; any
 // nondeterminism here silently corrupts the reproduction, the exact
 // benchmark-harness failure mode the ECM-modeling literature warns about.
 var GoldenPackages = []string{

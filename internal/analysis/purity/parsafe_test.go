@@ -205,7 +205,7 @@ func TestRepoParsafeBaselineIsCurrent(t *testing.T) {
 	}
 	for _, n := range notes {
 		if strings.Contains(n, "new certified entry point") {
-			t.Errorf("unrecorded certification (run `make parsafebaseline`): %s", n)
+			t.Errorf("unrecorded certification (run `make baselines`): %s", n)
 		}
 	}
 }

@@ -115,6 +115,12 @@ func formatSeconds(s float64) string {
 	}
 }
 
+// now is the clock that times samples. Tests that check the CoV gate
+// swap it for a fake so their samples do not depend on host load.
+// runOne reads it before starting the workload goroutine, so a
+// goroutine abandoned on timeout never reads it after a later swap.
+var now = time.Now
+
 // outcome is what the sampling goroutine reports back.
 type outcome struct {
 	samples  []float64
@@ -139,7 +145,7 @@ func runOne(parent context.Context, w Workload, opt Options) Result {
 	defer cancel()
 
 	ch := make(chan outcome, 1)
-	go sample(ctx, w, opt, ch)
+	go sample(ctx, w, opt, now, ch)
 
 	select {
 	case out := <-ch:
@@ -165,7 +171,7 @@ func runOne(parent context.Context, w Workload, opt Options) Result {
 
 // sample runs on the workload goroutine; it must communicate only via
 // ch (buffered) so an abandoned invocation cannot block.
-func sample(ctx context.Context, w Workload, opt Options, ch chan<- outcome) {
+func sample(ctx context.Context, w Workload, opt Options, now func() time.Time, ch chan<- outcome) {
 	var out outcome
 	defer func() {
 		if r := recover(); r != nil {
@@ -200,9 +206,9 @@ func sample(ctx context.Context, w Workload, opt Options, ch chan<- outcome) {
 			if ctx.Err() != nil {
 				return
 			}
-			t0 := time.Now()
+			t0 := now()
 			iter()
-			samples = append(samples, time.Since(t0).Seconds())
+			samples = append(samples, now().Sub(t0).Seconds())
 		}
 		out.samples = samples
 		if reason := degenerate(samples); reason != "" {

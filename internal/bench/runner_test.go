@@ -151,8 +151,13 @@ func TestRunnerCoVGate(t *testing.T) {
 
 func TestRunnerCoVGatePassesQuietSamples(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
+	// Every iteration reads exactly 5ms on a fake clock, so the samples
+	// are quiet however loaded the host is.
+	clock := time.Unix(1700000000, 0)
+	now = func() time.Time { return clock }
+	defer func() { now = time.Now }()
 	ws := []Workload{{Name: "t/quiet", Setup: func() (func(), error) {
-		return func() { time.Sleep(5 * time.Millisecond) }, nil
+		return func() { clock = clock.Add(5 * time.Millisecond) }, nil
 	}}}
 	rep := RunAll(context.Background(), ws, Options{Repeats: 3, MaxCoV: 0.5})
 	r := rep.Result("t/quiet")

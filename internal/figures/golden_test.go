@@ -8,7 +8,7 @@ import (
 )
 
 // Golden-file regression: every figure and ablation output is pinned to
-// testdata/. Any change to the performance model's calibration shows up
+// its committed text artifact, results/<id>.txt. Any change to the performance model's calibration shows up
 // as a diff here, so calibration drift is a reviewed decision, not an
 // accident. Refresh with:
 //
@@ -24,11 +24,8 @@ func TestGoldenFigures(t *testing.T) {
 		}
 		t.Run(it.ID, func(t *testing.T) {
 			got := it.Generate().String()
-			path := filepath.Join("testdata", it.ID+".golden")
+			path := filepath.Join("..", "..", "results", it.ID+".txt")
 			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}

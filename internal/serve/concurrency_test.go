@@ -129,6 +129,17 @@ func TestShutdownDrainsInflightRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Drain only once the server has read the headers and entered the
+	// handler: before that the connection is idle, and Shutdown closes
+	// idle connections instead of waiting for them.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Inflight() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("request never became in flight (inflight %d)", s.Inflight())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	shutdownDone := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -161,6 +172,58 @@ func TestShutdownDrainsInflightRequest(t *testing.T) {
 	}
 }
 
+// A client that sends the predict headers and then stalls mid-body must
+// not hold the handler past Config.ReadTimeout: the server answers with
+// an error or closes the connection shortly after the deadline.
+func TestPredictSlowBodyHitsReadTimeout(t *testing.T) {
+	testutil.CheckGoroutineLeak(t)
+	const timeout = 200 * time.Millisecond
+	s := newTestServer(t, Config{ReadTimeout: timeout})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(l) }()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := `{"kernel":"exp","toolchain":"GNU"}`
+	start := time.Now()
+	if _, err := fmt.Fprintf(conn, "POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		len(body), body[:10]); err != nil {
+		t.Fatal(err)
+	}
+	// The client stalls here for good. Its own read deadline is the
+	// failure mode: a server without a body deadline waits until then.
+	if err := conn.SetReadDeadline(start.Add(10 * timeout)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := io.ReadAll(conn)
+	elapsed := time.Since(start)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("server still waiting for the body after %v (ReadTimeout %v)", elapsed, timeout)
+	}
+	if strings.Contains(string(resp), "200 OK") {
+		t.Fatalf("stalled body answered 200:\n%s", resp)
+	}
+	if elapsed < timeout {
+		t.Errorf("connection ended after %v, before the %v deadline: %v\n%s", elapsed, timeout, err, resp)
+	}
+}
+
 // Draining servers advertise it on /healthz (load balancers watch this).
 func TestHealthzReportsDraining(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
@@ -181,14 +244,16 @@ func TestHealthzReportsDraining(t *testing.T) {
 func TestErrorPathsLeakNoGoroutines(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	clock := time.Unix(1700000000, 0)
-	s := New(Config{Rate: 1, Burst: 1, MaxBodyBytes: 128, BaselinePath: "testdata/none.json",
+	s := New(Config{Rate: 1, Burst: 1, MaxBodyBytes: 128,
 		Now: func() time.Time { return clock }})
 	for i := 0; i < 50; i++ {
 		do(s, "POST", "/v1/predict", `{"kernel":"nope","toolchain":"GNU"}`, nil)
 		do(s, "POST", "/v1/predict", `{bad`, nil)
 		do(s, "POST", "/v1/predict", strings.Repeat("x", 256), nil)
-		do(s, "POST", "/v1/bench/runs", `{"schema":9,"results":[{"name":"x"}]}`, nil)
-		do(s, "GET", "/v1/bench/compare", "", nil)
-		do(s, "GET", "/v1/loops", "", map[string]string{TenantHeader: "t"}) // mostly 429s
+		for _, path := range []string{"/v1/roofline", "/v1/toolchains", "/v1/loops", "/v1/machines"} {
+			do(s, "GET", path, "", map[string]string{TenantHeader: "t"}) // mostly 429s
+		}
+		do(s, "GET", "/healthz", "", nil)
+		do(s, "GET", "/metrics", "", nil)
 	}
 }

@@ -8,24 +8,15 @@ import (
 	"testing"
 	"time"
 
-	"ookami/internal/bench"
 	"ookami/internal/explain"
 	"ookami/internal/testutil"
 )
 
-// repoBaseline is the committed benchmark baseline, relative to this
-// package's directory (tests run with cwd internal/serve).
-const repoBaseline = "../bench/baseline/BENCH_ookami.json"
-
-// newTestServer builds an unthrottled server wired to the committed
-// bench baseline.
+// newTestServer builds an unthrottled server.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.Rate == 0 {
 		cfg.Rate = -1
-	}
-	if cfg.BaselinePath == "" {
-		cfg.BaselinePath = repoBaseline
 	}
 	return New(cfg)
 }
@@ -85,13 +76,6 @@ func TestAPITable(t *testing.T) {
 		{"roofline", "GET", "/v1/roofline", "", 200, `"winners"`},
 		{"healthz", "GET", "/healthz", "", 200, `"status":"ok"`},
 		{"metrics", "GET", "/metrics", "", 200, "ookami_serve_cache_hits"},
-		{"bench ingest wrong schema", "POST", "/v1/bench/runs",
-			`{"schema":99,"results":[{"name":"x"}]}`, 400, "schema version 99"},
-		{"bench ingest empty", "POST", "/v1/bench/runs",
-			`{"schema":1,"results":[]}`, 400, "no results"},
-		{"bench ingest malformed", "POST", "/v1/bench/runs",
-			`not json`, 400, "malformed request body"},
-		{"bench compare no runs", "GET", "/v1/bench/compare", "", 404, "no such bench run"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -166,78 +150,6 @@ func TestPredictBodyTooLarge(t *testing.T) {
 	w := do(s, "POST", "/v1/predict", big, nil)
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413: %s", w.Code, w.Body)
-	}
-}
-
-func TestBenchIngestCompareFlow(t *testing.T) {
-	testutil.CheckGoroutineLeak(t)
-	s := newTestServer(t, Config{})
-	base, err := bench.LoadReport(repoBaseline)
-	if err != nil {
-		t.Fatalf("committed baseline unreadable: %v", err)
-	}
-	// Re-ingest the baseline itself: comparing a report against itself
-	// must find no regressions.
-	data, _ := json.Marshal(base)
-	w := do(s, "POST", "/v1/bench/runs", string(data), nil)
-	if w.Code != http.StatusCreated {
-		t.Fatalf("ingest: status %d: %s", w.Code, w.Body)
-	}
-	var ing ingestResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &ing); err != nil || ing.ID == "" {
-		t.Fatalf("ingest response: %s", w.Body)
-	}
-
-	w = do(s, "GET", "/v1/bench/runs", "", nil)
-	var lst listResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &lst); err != nil || len(lst.Runs) != 1 || lst.Runs[0] != ing.ID {
-		t.Fatalf("list response: %s", w.Body)
-	}
-
-	w = do(s, "GET", "/v1/bench/compare?run="+ing.ID, "", nil)
-	if w.Code != 200 {
-		t.Fatalf("compare: status %d: %s", w.Code, w.Body)
-	}
-	var cmp compareResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &cmp); err != nil {
-		t.Fatal(err)
-	}
-	if len(cmp.Regressions) != 0 {
-		t.Errorf("self-comparison regressed: %v", cmp.Regressions)
-	}
-	if cmp.Run != ing.ID || !strings.Contains(cmp.Table, "workload") {
-		t.Errorf("compare response shape: %+v", cmp)
-	}
-
-	w = do(s, "GET", "/v1/bench/compare?run=run-999999", "", nil)
-	if w.Code != 404 {
-		t.Errorf("unknown run id: status %d, want 404", w.Code)
-	}
-}
-
-func TestBenchCompareWithoutBaseline(t *testing.T) {
-	testutil.CheckGoroutineLeak(t)
-	s := New(Config{Rate: -1, BaselinePath: "testdata/does-not-exist.json"})
-	w := do(s, "GET", "/v1/bench/compare", "", nil)
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("missing baseline: status %d, want 503: %s", w.Code, w.Body)
-	}
-}
-
-// The bench run store is bounded: ingesting past MaxBenchRuns drops the
-// oldest run.
-func TestBenchStoreBounded(t *testing.T) {
-	testutil.CheckGoroutineLeak(t)
-	s := newTestServer(t, Config{MaxBenchRuns: 2})
-	body := `{"schema":1,"results":[{"name":"x","median":1}]}`
-	for i := 0; i < 3; i++ {
-		if w := do(s, "POST", "/v1/bench/runs", body, nil); w.Code != 201 {
-			t.Fatalf("ingest %d: status %d", i, w.Code)
-		}
-	}
-	runs := s.store.list()
-	if len(runs) != 2 || runs[0] != "run-000002" || runs[1] != "run-000003" {
-		t.Fatalf("store after 3 ingests with max 2: %v", runs)
 	}
 }
 

@@ -14,11 +14,9 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"ookami/internal/bench"
 	"ookami/internal/parexec"
 )
 
@@ -43,22 +41,12 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies (http.MaxBytesReader).
 	MaxBodyBytes int64
 
-	// ReadTimeout is the deadline a body-reading handler (bench ingest)
-	// sets on the connection before decoding.
+	// ReadTimeout bounds reading one whole request, headers and body,
+	// on a served connection (http.Server.ReadTimeout): a client that
+	// trickles a predict body cannot pin a handler goroutine past it.
+	// With no IdleTimeout set, net/http also uses it as the keep-alive
+	// idle timeout.
 	ReadTimeout time.Duration
-
-	// MaxBenchRuns bounds the in-memory bench run store.
-	MaxBenchRuns int
-
-	// BaselinePath is the committed benchmark baseline /v1/bench/compare
-	// diffs against. Empty selects bench.DefaultBaselinePath; a missing
-	// file disables the compare endpoint (503) without failing startup.
-	BaselinePath string
-
-	// HistoryDir is the on-disk result history: ingested runs are
-	// appended to it and /v1/bench/history and /v1/bench/trend read it.
-	// Empty (the default) disables the history endpoints (503).
-	HistoryDir string
 
 	// Now is the clock, injectable for rate-limiter and metrics tests.
 	Now func() time.Time
@@ -86,12 +74,6 @@ func (c Config) withDefaults() Config {
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 5 * time.Second
 	}
-	if c.MaxBenchRuns <= 0 {
-		c.MaxBenchRuns = 32
-	}
-	if c.BaselinePath == "" {
-		c.BaselinePath = bench.DefaultBaselinePath
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -101,14 +83,11 @@ func (c Config) withDefaults() Config {
 // Server is the ookami-serve service: handlers, cache, rate limiter and
 // metrics behind one http.Handler.
 type Server struct {
-	cfg      Config
-	engine   *parexec.Engine
-	limiter  *limiter
-	metrics  *metrics
-	store    *benchStore
-	baseline *bench.Report // nil when the baseline file is absent
-	histMu   sync.Mutex    // serializes history appends (seq scan + write)
-	mux      *http.ServeMux
+	cfg     Config
+	engine  *parexec.Engine
+	limiter *limiter
+	metrics *metrics
+	mux     *http.ServeMux
 
 	httpSrv  *http.Server
 	inflight atomic.Int64
@@ -124,14 +103,10 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		engine:  parexec.NewSerial(),
 		metrics: newMetrics(),
-		store:   newBenchStore(cfg.MaxBenchRuns),
 	}
 	s.engine.SetMemoCapacity(cfg.CacheCapacity)
 	if cfg.Rate > 0 {
 		s.limiter = newLimiter(cfg.Rate, cfg.Burst, cfg.MaxTenants, cfg.Now)
-	}
-	if base, err := bench.LoadReport(cfg.BaselinePath); err == nil {
-		s.baseline = base
 	}
 	s.mux = http.NewServeMux()
 	s.routes()
@@ -140,6 +115,7 @@ func New(cfg Config) *Server {
 	s.httpSrv = &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       cfg.ReadTimeout,
 	}
 	return s
 }
@@ -157,11 +133,6 @@ func (s *Server) routes() {
 	api("GET /v1/toolchains", "/v1/toolchains", s.handleToolchains)
 	api("GET /v1/loops", "/v1/loops", s.handleLoops)
 	api("GET /v1/machines", "/v1/machines", s.handleMachines)
-	api("POST /v1/bench/runs", "/v1/bench/runs", s.handleBenchIngest)
-	api("GET /v1/bench/runs", "/v1/bench/runs", s.handleBenchList)
-	api("GET /v1/bench/compare", "/v1/bench/compare", s.handleBenchCompare)
-	api("GET /v1/bench/history", "/v1/bench/history", s.handleBenchHistory)
-	api("GET /v1/bench/trend", "/v1/bench/trend", s.handleBenchTrend)
 	bare("GET /healthz", "/healthz", s.handleHealthz)
 	bare("GET /metrics", "/metrics", s.handleMetrics)
 }

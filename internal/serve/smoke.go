@@ -8,10 +8,8 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"time"
 
-	"ookami/internal/bench"
 	"ookami/internal/explain"
 )
 
@@ -21,12 +19,7 @@ import (
 // held to floor req/s with every response checked byte-identical to the
 // direct library call, and a clean drain.
 func Smoke(out io.Writer, workers, perWorker int, floor float64) error {
-	histDir, err := os.MkdirTemp("", "ookami-serve-smoke-hist-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(histDir)
-	s := New(Config{Rate: -1, HistoryDir: histDir}) // the load burst must not be throttled
+	s := New(Config{Rate: -1}) // the load burst must not be throttled
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -82,12 +75,6 @@ func Smoke(out io.Writer, workers, perWorker int, floor float64) error {
 	}
 	fmt.Fprintf(out, "POST /v1/predict ok, byte-identical to library call\n")
 
-	// Bench ingest + compare against the committed baseline (compare is
-	// 503 when the baseline file is absent, e.g. outside the repo root).
-	if err := smokeBench(out, base, s); err != nil {
-		return err
-	}
-
 	// Rate limiting on a separate throttled server: the third request
 	// within one burst window must get 429 + Retry-After.
 	if err := smokeRateLimit(out); err != nil {
@@ -119,86 +106,6 @@ func Smoke(out io.Writer, workers, perWorker int, floor float64) error {
 		return fmt.Errorf("/metrics missing cache counters:\n%s", body)
 	}
 	fmt.Fprintf(out, "GET /metrics ok\nsmoke passed\n")
-	return nil
-}
-
-// smokeBench ingests a synthetic single-result report and runs compare.
-func smokeBench(out io.Writer, base string, s *Server) error {
-	rep := bench.Report{
-		Schema:    bench.SchemaVersion,
-		CreatedAt: time.Now().UTC().Format(time.RFC3339),
-		Env:       bench.CaptureEnv(),
-		Results: []bench.Result{{
-			Name: "smoke/synthetic", Repeats: 3,
-			Samples: []float64{1e-3, 1.1e-3, 0.9e-3},
-			Median:  1e-3, Mean: 1e-3, Min: 0.9e-3, Max: 1.1e-3, CoV: 0.1,
-			CILow: 0.9e-3, CIHigh: 1.1e-3,
-		}},
-	}
-	data, _ := json.Marshal(rep)
-	resp, err := http.Post(base+"/v1/bench/runs", "application/json", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("POST /v1/bench/runs: status %d: %s", resp.StatusCode, body)
-	}
-	fmt.Fprintf(out, "POST /v1/bench/runs ok: %s\n", bytes.TrimSpace(body))
-
-	resp, err = http.Get(base + "/v1/bench/compare")
-	if err != nil {
-		return err
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		fmt.Fprintf(out, "GET /v1/bench/compare ok (%d bytes)\n", len(body))
-	case resp.StatusCode == http.StatusServiceUnavailable && s.baseline == nil:
-		fmt.Fprintf(out, "GET /v1/bench/compare: no baseline on disk, 503 as documented\n")
-	default:
-		return fmt.Errorf("GET /v1/bench/compare: status %d: %s", resp.StatusCode, body)
-	}
-
-	// A second ingest, then the history endpoints: the two runs must be
-	// listed, and the trend endpoint must answer (too few runs to judge,
-	// but the analysis itself must succeed).
-	resp, err = http.Post(base+"/v1/bench/runs?commit=smoke2", "application/json", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("POST /v1/bench/runs (2nd): status %d", resp.StatusCode)
-	}
-	resp, err = http.Get(base + "/v1/bench/history")
-	if err != nil {
-		return err
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var hist struct {
-		Runs []struct {
-			ID string `json:"id"`
-		} `json:"runs"`
-	}
-	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &hist) != nil || len(hist.Runs) != 2 {
-		return fmt.Errorf("GET /v1/bench/history: status %d, %d runs (want 2): %s", resp.StatusCode, len(hist.Runs), body)
-	}
-	fmt.Fprintf(out, "GET /v1/bench/history ok: %d stored run(s)\n", len(hist.Runs))
-	resp, err = http.Get(base + "/v1/bench/trend")
-	if err != nil {
-		return err
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /v1/bench/trend: status %d: %s", resp.StatusCode, body)
-	}
-	fmt.Fprintf(out, "GET /v1/bench/trend ok (%d bytes)\n", len(body))
 	return nil
 }
 
