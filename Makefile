@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet compilerdiag concsurface parsafe baselines check fuzz-cfg fuzz-purity fuzz-sched bench benchgate benchrecord gobench figures smoke
+.PHONY: build test race vet baselines check fuzz-cfg fuzz-purity fuzz-sched bench benchgate benchrecord gobench figures smoke
 
 build:
 	$(GO) build ./...
@@ -17,44 +17,22 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/ookami-vet ./...
 
-# Diff the compiler's escape/BCE diagnostics for the kernel packages
-# against the checked-in baseline; fails on any new diagnostic in a hot
-# function.
-compilerdiag:
-	$(GO) run ./cmd/ookami-vet -compilerdiag
-
-# Diff the concurrency surface (goroutine spawns, lock acquisitions,
-# channel makes) of the simulated-runtime packages against the
-# checked-in baseline; any new site fails until acknowledged.
-concsurface:
-	$(GO) run ./cmd/ookami-vet -concsurface
-
-# Diff the certified //ookami:pure entry points' transitive effect sets
-# against the checked-in baseline; a certified function gaining an
-# impure or hidden-input effect (or losing its marker) fails.
-parsafe:
-	$(GO) run ./cmd/ookami-vet -parsafe
-
 # Re-record all three firewall baselines (compilerdiag, concsurface,
 # parsafe) after an intentional codegen change, an added or removed
 # spawn/lock/chan site, or a newly certified entry point. Re-recording
 # an unchanged surface is a no-op, so the JSON diff under review shows
 # exactly the acknowledged change.
 baselines:
-	$(GO) run ./cmd/ookami-vet -compilerdiag -update-baseline
-	$(GO) run ./cmd/ookami-vet -concsurface -update-baseline
-	$(GO) run ./cmd/ookami-vet -parsafe -update-baseline
+	$(GO) run ./cmd/ookami-vet -update-baseline
 
-# The full gate: what a PR must keep green.
+# The full gate: what a PR must keep green. One ookami-vet run covers
+# the analyzers and the compilerdiag, concsurface and parsafe firewalls.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l: files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) run ./cmd/ookami-vet ./...
-	$(GO) run ./cmd/ookami-vet -compilerdiag
-	$(GO) run ./cmd/ookami-vet -concsurface
-	$(GO) run ./cmd/ookami-vet -parsafe
 
 # Short fuzz pass over the CFG builder: any parseable function body
 # must yield a total, well-formed graph.

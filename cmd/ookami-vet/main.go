@@ -1,58 +1,58 @@
-// Command ookami-vet runs the reproduction's static-analysis suite: the
-// repro-specific checks (determinism of golden-producing packages, float
-// equality, synchronization hygiene of the simulated runtimes, benchmark
-// harness hygiene, dropped errors in the CLIs) that `go vet` has no
-// opinion on, the hot-path performance lints for the kernel packages,
-// and the interprocedural concurrency analyzers (lock ordering,
-// goroutine join edges, atomic/plain mixing, WaitGroup and mutex
-// protocol) from internal/analysis/conc. It exits nonzero when any
-// analyzer reports a finding.
+// Command ookami-vet runs the reproduction's static-analysis gates in one
+// pass over one loaded module. The gates are:
+//
+//   - the analyzers: the repro-specific checks (determinism of
+//     golden-producing packages, float equality, synchronization hygiene
+//     of the simulated runtimes, benchmark harness hygiene, dropped errors
+//     in the CLIs) that `go vet` has no opinion on, the hot-path
+//     performance lints for the kernel packages, the interprocedural
+//     concurrency analyzers from internal/analysis/conc and the purity
+//     analyzers from internal/analysis/purity;
+//   - compilerdiag: builds the kernel packages with
+//     `-gcflags='-m -d=ssa/check_bce/debug=1'` and diffs the escape and
+//     bounds-check diagnostics landing in hot functions against the
+//     checked-in baseline;
+//   - concsurface: diffs every goroutine spawn, lock acquisition and
+//     channel make in the concurrent runtime packages against the
+//     checked-in baseline, so new sites are always an explicit decision;
+//   - parsafe: links the effect summaries of the certified surface into
+//     one cross-package call graph and diffs every //ookami:pure entry
+//     point's transitive effect set against the checked-in baseline.
+//
+// It exits nonzero when any analyzer reports a finding or any firewall
+// (compilerdiag, concsurface, parsafe) reports a regression.
 //
 // Usage:
 //
-//	ookami-vet [-list] [-json] [-only determinism,lockorder] [packages]
-//	ookami-vet -compilerdiag [-update-baseline] [-baseline file] [packages]
-//	ookami-vet -concsurface [-update-baseline] [-baseline file] [packages]
-//	ookami-vet -parsafe [-update-baseline] [-baseline file] [packages]
+//	ookami-vet [-list] [-json] [-only determinism,concsurface] [packages]
+//	ookami-vet -update-baseline [-only parsafe]
 //
-// Packages default to ./... resolved against the enclosing module. A
-// finding is suppressed by an `//ookami:nolint <analyzer> -- reason`
-// comment on the flagged line or the line above it.
+// Packages scope the analyzers and default to ./... resolved against the
+// enclosing module. Each firewall's scope is the packages field its
+// baseline under internal/analysis/baseline records; a missing baseline
+// is an error until -update-baseline records one with the firewall's
+// default scope. -update-baseline re-records the selected firewalls'
+// baselines instead of diffing them, and runs no analyzer.
 //
-// With -json, findings are emitted as newline-delimited JSON objects
-// ordered by (file, line, col, analyzer); see docs/ANALYSIS.md for the
-// schema.
+// An analyzer finding is suppressed by an `//ookami:nolint <analyzer> --
+// reason` comment on the flagged line or the line above it.
 //
-// With -compilerdiag, instead of the AST analyzers the command builds
-// the kernel packages with `-gcflags='-m -d=ssa/check_bce/debug=1'`,
-// keeps the escape and bounds-check diagnostics landing in hot
-// functions, and diffs them against the checked-in baseline. Any new
-// diagnostic is a regression and exits nonzero; -update-baseline
-// rewrites the baseline after an intentional change.
-//
-// With -concsurface, the command records every goroutine spawn, lock
-// acquisition and channel make in the concurrent runtime packages
-// (internal/{bench,mpi,omp,trace} by default) and diffs the set against
-// the checked-in baseline — growing the concurrency surface without
-// -update-baseline is a CI failure, so new spawn/lock/channel sites are
-// always an explicit decision.
-//
-// With -parsafe, the command links the effect summaries of the
-// certified surface (the model core plus the kernel packages, see
-// purity.ParsafePackages) into one cross-package call graph and diffs
-// every //ookami:pure entry point's transitive effect set against the
-// checked-in baseline. A certified function gaining an impure or
-// hidden-input effect — or losing its certification — exits nonzero
-// with the full entrypoint → callee → site chain.
+// With -json, analyzer findings and firewall regressions are emitted as
+// newline-delimited JSON objects ordered by (file, line, col, analyzer);
+// a regression's analyzer is its firewall's name and its position the
+// first site it names. See docs/ANALYSIS.md for the schema.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"ookami/internal/analysis"
@@ -60,12 +60,9 @@ import (
 	"ookami/internal/analysis/purity"
 )
 
-// Default baseline files, relative to the module root, per mode.
-const (
-	defaultCompilerBaseline = "internal/analysis/baseline/compilerdiag.json"
-	defaultSurfaceBaseline  = "internal/analysis/baseline/concsurface.json"
-	defaultParsafeBaseline  = "internal/analysis/baseline/parsafe.json"
-)
+// baselineDir holds the firewalls' committed baselines, relative to the
+// module root.
+const baselineDir = "internal/analysis/baseline"
 
 // allAnalyzers is the full suite: the core analyzers plus the
 // concurrency and purity passes.
@@ -74,9 +71,9 @@ func allAnalyzers() []analysis.Analyzer {
 	return append(all, purity.Analyzers()...)
 }
 
-// analyzerGates maps an analyzer to the gates that run it. Every
-// analyzer runs under `make check`; the purity analyzers' facts are
-// additionally enforced cross-package by the -parsafe firewall.
+// analyzerGates maps an analyzer to the gates that enforce it in -list.
+// The purity analyzers' facts are additionally enforced cross-package by
+// the parsafe firewall.
 func analyzerGates(name string) string {
 	for _, a := range purity.Analyzers() {
 		if a.Name() == name {
@@ -86,44 +83,48 @@ func analyzerGates(name string) string {
 	return "check"
 }
 
-// firewallRows are the baseline-diff modes listed alongside the
-// analyzers: each is its own gate rather than part of the analyzer run.
-var firewallRows = [][3]string{
-	{"compilerdiag", "compilerdiag", "diffs compiler escape/BCE diagnostics in hot functions against " + defaultCompilerBaseline},
-	{"concsurface", "concsurface", "diffs the runtime packages' go/lock/chan sites against " + defaultSurfaceBaseline},
-	{"parsafe", "parsafe", "diffs certified //ookami:pure entry points' effect sets against " + defaultParsafeBaseline},
+// A firewall diffs one surface of the module against its committed
+// baseline, baselineDir/<name>.json. run returns the report lines of
+// the regressions ("file[:line[:col]]: message") and logs its notes;
+// with update it re-records the baseline instead.
+type firewall struct {
+	name, doc string
+	run       func(l *analysis.Loader, path string, update bool) ([]string, error)
+	fail      string // stderr summary of a failing diff, %d = regressions
 }
+
+var firewalls = []firewall{
+	{"compilerdiag", "diffs compiler escape/BCE diagnostics in hot functions against", runCompilerDiag,
+		"%d compiler-diagnostic regression(s); fix the code or record the intent with -update-baseline"},
+	{"concsurface", "diffs the runtime packages' go/lock/chan sites against", runConcSurface,
+		"%d concurrency-surface growth(s); every new go/lock/chan site must be acknowledged with -update-baseline"},
+	{"parsafe", "diffs certified //ookami:pure entry points' effect sets against", runParsafe,
+		"%d parallel-safety regression(s); restore purity or re-certify with -update-baseline"},
+}
+
+func (fw firewall) baseline() string { return baselineDir + "/" + fw.name + ".json" }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ookami-vet: ")
-	list := flag.Bool("list", false, "list analyzers and exit")
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
+	list := flag.Bool("list", false, "list analyzers and firewalls and exit")
+	only := flag.String("only", "", "comma-separated analyzer and firewall names to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit one finding per line as JSON")
-	compilerDiag := flag.Bool("compilerdiag", false, "diff compiler escape/BCE diagnostics against the baseline instead of running analyzers")
-	concSurface := flag.Bool("concsurface", false, "diff the runtime packages' concurrency surface (go/lock/chan sites) against the baseline")
-	parsafe := flag.Bool("parsafe", false, "diff the certified pure entry points' effect sets against the baseline")
-	updateBaseline := flag.Bool("update-baseline", false, "with exactly one of -compilerdiag/-concsurface/-parsafe: rewrite that baseline from the current state")
-	baselinePath := flag.String("baseline", "", "with -compilerdiag/-concsurface/-parsafe: baseline file, relative to the module root (default per mode)")
+	update := flag.Bool("update-baseline", false, "re-record the selected firewalls' baselines instead of running the gates")
 	flag.Parse()
 
 	if *list {
 		for _, a := range allAnalyzers() {
 			fmt.Printf("%-14s %-14s %s\n", a.Name(), analyzerGates(a.Name()), a.Doc())
 		}
-		for _, row := range firewallRows {
-			fmt.Printf("%-14s %-14s %s\n", row[0], row[1], row[2])
+		for _, fw := range firewalls {
+			fmt.Printf("%-14s %-14s %s %s\n", fw.name, fw.name, fw.doc, fw.baseline())
 		}
 		return
 	}
-	modes := 0
-	for _, on := range []bool{*compilerDiag, *concSurface, *parsafe} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		log.Fatal("-compilerdiag, -concsurface and -parsafe are mutually exclusive")
+	analyzers, gates, err := selectGates(*only)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	cwd, err := os.Getwd()
@@ -134,46 +135,58 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if *compilerDiag {
-		runCompilerDiag(root, flag.Args(), baselineFile(root, *baselinePath, defaultCompilerBaseline), *updateBaseline)
-		return
-	}
-	if *concSurface {
-		runConcSurface(root, flag.Args(), baselineFile(root, *baselinePath, defaultSurfaceBaseline), *updateBaseline)
-		return
-	}
-	if *parsafe {
-		runParsafe(root, flag.Args(), baselineFile(root, *baselinePath, defaultParsafeBaseline), *updateBaseline)
-		return
-	}
-	if *updateBaseline {
-		log.Fatal("-update-baseline requires exactly one of -compilerdiag, -concsurface or -parsafe")
-	}
-
-	analyzers := allAnalyzers()
-	if *only != "" {
-		byName := map[string]analysis.Analyzer{}
-		for _, a := range analyzers {
-			byName[a.Name()] = a
-		}
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*only, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				log.Fatalf("unknown analyzer %q (use -list)", name)
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
-
-	diags, err := analysis.Vet(root, flag.Args(), analyzers)
+	l, err := analysis.NewLoader(root)
 	if err != nil {
 		log.Fatal(err)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	for _, d := range diags {
-		if *jsonOut {
+
+	if *update {
+		if flag.NArg() > 0 {
+			log.Fatal("-update-baseline takes no packages: each firewall keeps the scope its baseline records")
+		}
+		for _, fw := range gates {
+			if _, err := fw.run(l, filepath.Join(root, fw.baseline()), true); err != nil {
+				log.Fatal(err)
+			}
+		}
+		return
+	}
+
+	var findings []analysis.Diagnostic
+	if len(analyzers) > 0 {
+		diags, err := analysis.Vet(l, flag.Args(), analyzers)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, d := range diags {
+			if !*jsonOut {
+				fmt.Println(d)
+			}
+		}
+		if len(diags) > 0 {
+			log.Printf("%d finding(s)", len(diags))
+		}
+		findings = diags
+	}
+	for _, fw := range gates {
+		regressions, err := fw.run(l, filepath.Join(root, fw.baseline()), false)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, r := range regressions {
+			if !*jsonOut {
+				fmt.Println(r)
+			}
+			findings = append(findings, reportDiagnostic(fw.name, r))
+		}
+		if len(regressions) > 0 {
+			log.Printf(fw.fail, len(regressions))
+		}
+	}
+	if *jsonOut {
+		analysis.SortDiagnostics(findings)
+		enc := json.NewEncoder(os.Stdout)
+		for _, d := range findings {
 			if err := enc.Encode(jsonFinding{
 				File:     d.Pos.Filename,
 				Line:     d.Pos.Line,
@@ -183,12 +196,9 @@ func main() {
 			}); err != nil {
 				log.Fatal(err)
 			}
-		} else {
-			fmt.Println(d)
 		}
 	}
-	if len(diags) > 0 {
-		log.Printf("%d finding(s)", len(diags))
+	if len(findings) > 0 {
 		os.Exit(1)
 	}
 }
@@ -204,137 +214,146 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// baselineFile resolves the baseline path for a mode: the -baseline
-// flag when given (made absolute against the module root), else the
-// mode's default.
-func baselineFile(root, flagValue, def string) string {
-	rel := flagValue
-	if rel == "" {
-		rel = def
+// selectGates resolves -only into the analyzers and firewalls to run;
+// an empty list selects every gate.
+func selectGates(only string) ([]analysis.Analyzer, []firewall, error) {
+	if only == "" {
+		return allAnalyzers(), firewalls, nil
 	}
-	if filepath.IsAbs(rel) {
-		return rel
+	var analyzers []analysis.Analyzer
+	var gates []firewall
+next:
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		for _, a := range allAnalyzers() {
+			if a.Name() == name {
+				analyzers = append(analyzers, a)
+				continue next
+			}
+		}
+		for _, fw := range firewalls {
+			if fw.name == name {
+				gates = append(gates, fw)
+				continue next
+			}
+		}
+		return nil, nil, fmt.Errorf("unknown analyzer or firewall %q (use -list)", name)
 	}
-	return filepath.Join(root, filepath.FromSlash(rel))
+	return analyzers, gates, nil
 }
 
-// runCompilerDiag implements the -compilerdiag mode.
-func runCompilerDiag(root string, patterns []string, baselineFile string, update bool) {
-	findings, err := analysis.RunCompilerDiag(root, patterns)
-	if err != nil {
-		log.Fatal(err)
+// reportDiagnostic turns a firewall report line into a finding of that
+// firewall, positioned at the site the line starts with.
+func reportDiagnostic(gate, line string) analysis.Diagnostic {
+	d := analysis.Diagnostic{Analyzer: gate, Message: line}
+	pos, msg, ok := strings.Cut(line, ": ")
+	if !ok {
+		return d
 	}
-	goVersion, err := analysis.GoVersion(root)
-	if err != nil {
-		log.Fatal(err)
+	d.Message = msg
+	parts := strings.Split(pos, ":")
+	d.Pos.Filename = parts[0]
+	for i, field := range []*int{&d.Pos.Line, &d.Pos.Column} {
+		if i+1 < len(parts) {
+			if n, err := strconv.Atoi(parts[i+1]); err == nil {
+				*field = n
+			}
+		}
 	}
+	return d
+}
 
+// loadBaseline reads a firewall's baseline. When re-recording, a missing
+// file yields the zero baseline, whose empty package list selects the
+// firewall's default scope.
+func loadBaseline[T any](path string, update bool) (T, error) {
+	base, err := analysis.LoadJSON[T](path)
+	if err != nil && !(update && errors.Is(err, fs.ErrNotExist)) {
+		return base, fmt.Errorf("loading baseline: %v (run with -update-baseline to create it)", err)
+	}
+	return base, nil
+}
+
+// logNotes reports a diff's non-failing observations on stderr.
+func logNotes(notes []string) {
+	for _, s := range notes {
+		log.Printf("note: %s", s)
+	}
+}
+
+// runCompilerDiag is the compilerdiag firewall.
+func runCompilerDiag(l *analysis.Loader, path string, update bool) ([]string, error) {
+	base, err := loadBaseline[analysis.CompilerBaseline](path, update)
+	if err != nil {
+		return nil, err
+	}
+	findings, err := analysis.RunCompilerDiag(l.ModuleRoot, base.Packages)
+	if err != nil {
+		return nil, err
+	}
+	goVersion, err := analysis.GoVersion(l.ModuleRoot)
+	if err != nil {
+		return nil, err
+	}
 	if update {
-		base := analysis.BuildBaseline(goVersion, patterns, findings)
-		if err := os.MkdirAll(filepath.Dir(baselineFile), 0o755); err != nil {
-			log.Fatal(err)
+		base = analysis.BuildBaseline(goVersion, base.Packages, findings)
+		if err := analysis.SaveJSON(path, base); err != nil {
+			return nil, err
 		}
-		if err := analysis.SaveBaseline(baselineFile, base); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s: %d entr(ies) from %d finding(s) under %s",
-			baselineFile, len(base.Entries), len(findings), goVersion)
-		return
-	}
-
-	base, err := analysis.LoadBaseline(baselineFile)
-	if err != nil {
-		log.Fatalf("loading baseline: %v (run with -update-baseline to create it)", err)
+		log.Printf("wrote %s: %d entr(ies) from %d finding(s) under %s", path, len(base.Entries), len(findings), goVersion)
+		return nil, nil
 	}
 	if base.GoVersion != goVersion {
 		log.Printf("warning: baseline was recorded under %s, running under %s; diagnostics may differ for toolchain reasons",
 			base.GoVersion, goVersion)
 	}
 	regressions, improvements := analysis.DiffBaseline(base, findings)
-	for _, s := range improvements {
-		log.Printf("note: %s", s)
-	}
-	for _, s := range regressions {
-		fmt.Println(s)
-	}
-	if len(regressions) > 0 {
-		log.Printf("%d compiler-diagnostic regression(s); fix the code or record the intent with -update-baseline", len(regressions))
-		os.Exit(1)
-	}
+	logNotes(improvements)
+	return regressions, nil
 }
 
-// runConcSurface implements the -concsurface mode. Package arguments
-// are module-relative directories ("internal/omp"); the default scope
-// is conc.SurfacePackages.
-func runConcSurface(root string, pkgs []string, baselineFile string, update bool) {
-	sites, err := conc.CollectSurface(root, pkgs)
+// runConcSurface is the concsurface firewall.
+func runConcSurface(l *analysis.Loader, path string, update bool) ([]string, error) {
+	base, err := loadBaseline[conc.SurfaceBaseline](path, update)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-
+	sites, err := conc.CollectSurface(l, base.Packages)
+	if err != nil {
+		return nil, err
+	}
 	if update {
-		base := conc.BuildSurfaceBaseline(pkgs, sites)
-		if err := os.MkdirAll(filepath.Dir(baselineFile), 0o755); err != nil {
-			log.Fatal(err)
+		base = conc.BuildSurfaceBaseline(base.Packages, sites)
+		if err := analysis.SaveJSON(path, base); err != nil {
+			return nil, err
 		}
-		if err := conc.SaveSurfaceBaseline(baselineFile, base); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s: %d entr(ies) from %d site(s)", baselineFile, len(base.Entries), len(sites))
-		return
-	}
-
-	base, err := conc.LoadSurfaceBaseline(baselineFile)
-	if err != nil {
-		log.Fatalf("loading baseline: %v (run with -update-baseline to create it)", err)
+		log.Printf("wrote %s: %d entr(ies) from %d site(s)", path, len(base.Entries), len(sites))
+		return nil, nil
 	}
 	growth, shrinkage := conc.DiffSurface(base, sites)
-	for _, s := range shrinkage {
-		log.Printf("note: %s", s)
-	}
-	for _, s := range growth {
-		fmt.Println(s)
-	}
-	if len(growth) > 0 {
-		log.Printf("%d concurrency-surface growth(s); every new go/lock/chan site must be acknowledged with -update-baseline", len(growth))
-		os.Exit(1)
-	}
+	logNotes(shrinkage)
+	return growth, nil
 }
 
-// runParsafe implements the -parsafe mode. Package arguments are
-// module-relative directories; the default scope is
-// purity.ParsafePackages.
-func runParsafe(root string, pkgs []string, baselineFile string, update bool) {
-	funcs, err := purity.CollectParsafe(root, pkgs)
+// runParsafe is the parsafe firewall.
+func runParsafe(l *analysis.Loader, path string, update bool) ([]string, error) {
+	base, err := loadBaseline[purity.ParsafeBaseline](path, update)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-
+	funcs, err := purity.CollectParsafe(l, base.Packages)
+	if err != nil {
+		return nil, err
+	}
 	if update {
-		base := purity.BuildParsafeBaseline(pkgs, funcs)
-		if err := os.MkdirAll(filepath.Dir(baselineFile), 0o755); err != nil {
-			log.Fatal(err)
+		base = purity.BuildParsafeBaseline(base.Packages, funcs)
+		if err := analysis.SaveJSON(path, base); err != nil {
+			return nil, err
 		}
-		if err := purity.SaveParsafeBaseline(baselineFile, base); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s: %d certified entry point(s)", baselineFile, len(base.Entries))
-		return
-	}
-
-	base, err := purity.LoadParsafeBaseline(baselineFile)
-	if err != nil {
-		log.Fatalf("loading baseline: %v (run with -update-baseline to create it)", err)
+		log.Printf("wrote %s: %d certified entry point(s)", path, len(base.Entries))
+		return nil, nil
 	}
 	regressions, notes := purity.DiffParsafe(base, funcs)
-	for _, s := range notes {
-		log.Printf("note: %s", s)
-	}
-	for _, s := range regressions {
-		fmt.Println(s)
-	}
-	if len(regressions) > 0 {
-		log.Printf("%d parallel-safety regression(s); restore purity or re-certify with -update-baseline", len(regressions))
-		os.Exit(1)
-	}
+	logNotes(notes)
+	return regressions, nil
 }

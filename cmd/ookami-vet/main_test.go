@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -45,23 +46,9 @@ func runVet(t *testing.T, dir string, args ...string) (stdout, stderr string, ex
 	return out.String(), errb.String(), code
 }
 
-// writeModule materializes a temp module with one dirty kernel file.
-func writeModule(t *testing.T) string {
+// writeFiles materializes files under root, creating directories.
+func writeFiles(t *testing.T, root string, files map[string]string) {
 	t.Helper()
-	root := t.TempDir()
-	files := map[string]string{
-		"go.mod": "module tempmod\n\ngo 1.22\n",
-		"internal/loops/kernel.go": `package loops
-
-func Kernel(n int) []float64 {
-	var out []float64
-	for i := 0; i < n; i++ {
-		out = append(out, float64(i))
-	}
-	return out
-}
-`,
-	}
 	for name, src := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -71,11 +58,76 @@ func Kernel(n int) []float64 {
 			t.Fatal(err)
 		}
 	}
+}
+
+// newModule materializes a temp module holding files.
+func newModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	writeFiles(t, root, map[string]string{"go.mod": "module tempmod\n\ngo 1.22\n"})
+	writeFiles(t, root, files)
 	return root
+}
+
+// baselineFiles are the firewalls' baselines, relative to the module root.
+var baselineFiles = []string{
+	"internal/analysis/baseline/compilerdiag.json",
+	"internal/analysis/baseline/concsurface.json",
+	"internal/analysis/baseline/parsafe.json",
+}
+
+// scopeBaselines writes scope-only baselines for the named firewalls
+// (all three by default), each recording pkgs (module-relative
+// directories) as its packages: the way a module narrows a firewall
+// below the default scope before its first -update-baseline.
+func scopeBaselines(t *testing.T, root string, pkgs []string, only ...string) {
+	t.Helper()
+	var patterns []string
+	for _, p := range pkgs {
+		patterns = append(patterns, "./"+p)
+	}
+	scopes := map[string][]string{"compilerdiag": patterns, "concsurface": pkgs, "parsafe": pkgs}
+	for name, scope := range scopes {
+		if len(only) > 0 && !slices.Contains(only, name) {
+			continue
+		}
+		data, err := json.Marshal(map[string][]string{"packages": scope})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeFiles(t, root, map[string]string{"internal/analysis/baseline/" + name + ".json": string(data)})
+	}
+}
+
+// recordBaselines scopes all three firewalls to pkgs and records them.
+func recordBaselines(t *testing.T, root string, pkgs ...string) {
+	t.Helper()
+	scopeBaselines(t, root, pkgs)
+	if _, stderr, code := runVet(t, root, "-update-baseline"); code != 0 {
+		t.Fatalf("-update-baseline failed: code=%d stderr=%q", code, stderr)
+	}
+}
+
+const dirtyKernel = `package loops
+
+func Kernel(n int) []float64 {
+	var out []float64
+	for i := 0; i < n; i++ {
+		out = append(out, float64(i))
+	}
+	return out
+}
+`
+
+// writeModule materializes a temp module with one dirty kernel file.
+func writeModule(t *testing.T) string {
+	t.Helper()
+	return newModule(t, map[string]string{"internal/loops/kernel.go": dirtyKernel})
 }
 
 func TestCLIFindingsExitNonzero(t *testing.T) {
 	root := writeModule(t)
+	recordBaselines(t, root, "internal/loops")
 	stdout, stderr, code := runVet(t, root, "./...")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
@@ -90,6 +142,7 @@ func TestCLIFindingsExitNonzero(t *testing.T) {
 
 func TestCLIJSONOutput(t *testing.T) {
 	root := writeModule(t)
+	recordBaselines(t, root, "internal/loops")
 	stdout, _, code := runVet(t, root, "-json", "./...")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
@@ -107,10 +160,7 @@ func TestCLIJSONOutput(t *testing.T) {
 	}
 }
 
-func TestCLICleanTreeExitsZero(t *testing.T) {
-	root := writeModule(t)
-	clean := filepath.Join(root, "internal", "loops", "kernel.go")
-	src := `package loops
+const cleanKernel = `package loops
 
 func Kernel(n int) []float64 {
 	out := make([]float64, 0, n)
@@ -120,9 +170,10 @@ func Kernel(n int) []float64 {
 	return out
 }
 `
-	if err := os.WriteFile(clean, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+
+func TestCLICleanTreeExitsZero(t *testing.T) {
+	root := newModule(t, map[string]string{"internal/loops/kernel.go": cleanKernel})
+	recordBaselines(t, root, "internal/loops")
 	stdout, stderr, code := runVet(t, root, "./...")
 	if code != 0 || stdout != "" {
 		t.Errorf("clean tree: code=%d stdout=%q stderr=%q", code, stdout, stderr)
@@ -135,47 +186,36 @@ func TestCLIUsageErrors(t *testing.T) {
 	if code == 0 || !strings.Contains(stderr, "unknown analyzer") {
 		t.Errorf("bad -only: code=%d stderr=%q", code, stderr)
 	}
+	// Firewall scopes live in the baselines, not on the command line.
 	_, stderr, code = runVet(t, root, "-update-baseline", "./...")
-	if code == 0 || !strings.Contains(stderr, "-compilerdiag") {
-		t.Errorf("-update-baseline without -compilerdiag: code=%d stderr=%q", code, stderr)
+	if code == 0 || !strings.Contains(stderr, "takes no packages") {
+		t.Errorf("-update-baseline with packages: code=%d stderr=%q", code, stderr)
 	}
-	_, stderr, code = runVet(t, root, "-compilerdiag", "./internal/loops")
-	if code == 0 || !strings.Contains(stderr, "baseline") {
-		t.Errorf("missing baseline should fail: code=%d stderr=%q", code, stderr)
+	// A missing baseline is a hard error pointing at -update-baseline,
+	// in a full run as well as for one firewall.
+	for _, args := range [][]string{{"./..."}, {"-only", "compilerdiag"}} {
+		_, stderr, code = runVet(t, root, args...)
+		if code == 0 || !strings.Contains(stderr, "baseline") || !strings.Contains(stderr, "-update-baseline") {
+			t.Errorf("%v with a missing baseline: code=%d stderr=%q", args, code, stderr)
+		}
 	}
 }
 
 func TestCLICompilerDiagRoundtrip(t *testing.T) {
 	root := writeModule(t)
-	_, stderr, code := runVet(t, root, "-compilerdiag", "-update-baseline", "./internal/loops")
-	if code != 0 {
-		t.Fatalf("-update-baseline failed: %s", stderr)
-	}
-	stdout, stderr, code := runVet(t, root, "-compilerdiag", "./internal/loops")
+	recordBaselines(t, root, "internal/loops")
+	stdout, stderr, code := runVet(t, root, "-only", "compilerdiag")
 	if code != 0 {
 		t.Fatalf("clean diff failed: code=%d stdout=%q stderr=%q", code, stdout, stderr)
 	}
 	// Inject an escape into the hot function and require exit 1.
-	kernel := filepath.Join(root, "internal", "loops", "kernel.go")
-	src := `package loops
-
-func Kernel(n int) []float64 {
-	var out []float64
-	for i := 0; i < n; i++ {
-		out = append(out, float64(i))
-	}
-	return out
-}
-
+	writeFiles(t, root, map[string]string{"internal/loops/kernel.go": dirtyKernel + `
 func Leak(n int) *int {
 	x := n
 	return &x
 }
-`
-	if err := os.WriteFile(kernel, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout, _, code = runVet(t, root, "-compilerdiag", "./internal/loops")
+`})
+	stdout, _, code = runVet(t, root, "-only", "compilerdiag")
 	if code != 1 {
 		t.Fatalf("regression not detected: code=%d stdout=%q", code, stdout)
 	}
@@ -204,9 +244,7 @@ func TestCLIListMentionsEveryAnalyzer(t *testing.T) {
 // and a leaked goroutine in separate packages.
 func writeConcModule(t *testing.T) string {
 	t.Helper()
-	root := t.TempDir()
-	files := map[string]string{
-		"go.mod": "module tempmod\n\ngo 1.22\n",
+	return newModule(t, map[string]string{
 		"internal/link/link.go": `package link
 
 import "sync"
@@ -229,7 +267,11 @@ func (l *Link) Rev() {
 	defer l.a.Unlock()
 }
 `,
-		"internal/spawn/spawn.go": `package spawn
+		"internal/spawn/spawn.go": spawnOnce,
+	})
+}
+
+const spawnOnce = `package spawn
 
 var sink int
 
@@ -238,19 +280,7 @@ func Fire() {
 		sink++
 	}()
 }
-`,
-	}
-	for name, src := range files {
-		path := filepath.Join(root, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return root
-}
+`
 
 func TestCLIOnlySelectsConcAnalyzer(t *testing.T) {
 	root := writeConcModule(t)
@@ -268,6 +298,10 @@ func TestCLIOnlySelectsConcAnalyzer(t *testing.T) {
 
 func TestCLIJSONOrderedByFileLineAnalyzer(t *testing.T) {
 	root := writeConcModule(t)
+	recordBaselines(t, root, "internal/link", "internal/spawn")
+	// Grow the concurrency surface too, so firewall regressions
+	// interleave with analyzer findings in the one ndjson stream.
+	writeFiles(t, root, map[string]string{"internal/spawn/spawn.go": spawnOnce + spawnTwice})
 	stdout, _, code := runVet(t, root, "-json", "./...")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\n%s", code, stdout)
@@ -292,51 +326,30 @@ func TestCLIJSONOrderedByFileLineAnalyzer(t *testing.T) {
 	}
 }
 
-func TestCLIConcSurfaceRoundtrip(t *testing.T) {
-	root := writeConcModule(t)
-	pkgs := []string{"internal/link", "internal/spawn"}
-
-	// Missing baseline is a hard error pointing at -update-baseline.
-	_, stderr, code := runVet(t, root, append([]string{"-concsurface"}, pkgs...)...)
-	if code == 0 || !strings.Contains(stderr, "-update-baseline") {
-		t.Fatalf("missing baseline: code=%d stderr=%q", code, stderr)
-	}
-
-	_, stderr, code = runVet(t, root, append([]string{"-concsurface", "-update-baseline"}, pkgs...)...)
-	if code != 0 {
-		t.Fatalf("-update-baseline failed: %s", stderr)
-	}
-	if _, err := os.Stat(filepath.Join(root, "internal", "analysis", "baseline", "concsurface.json")); err != nil {
-		t.Fatalf("baseline not written at default path: %v", err)
-	}
-
-	stdout, stderr, code := runVet(t, root, append([]string{"-concsurface"}, pkgs...)...)
-	if code != 0 {
-		t.Fatalf("clean diff failed: code=%d stdout=%q stderr=%q", code, stdout, stderr)
-	}
-
-	// Grow the surface: a second spawn site must trip the gate.
-	spawn := filepath.Join(root, "internal", "spawn", "spawn.go")
-	src := `package spawn
-
-var sink int
-
-func Fire() {
-	go func() {
-		sink++
-	}()
-}
-
+const spawnTwice = `
 func FireTwice() {
 	go func() {
 		sink += 2
 	}()
 }
 `
-	if err := os.WriteFile(spawn, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
+
+func TestCLIConcSurfaceRoundtrip(t *testing.T) {
+	root := writeConcModule(t)
+	recordBaselines(t, root, "internal/link", "internal/spawn")
+	data, err := os.ReadFile(filepath.Join(root, "internal", "analysis", "baseline", "concsurface.json"))
+	if err != nil || !strings.Contains(string(data), "go func literal") {
+		t.Fatalf("baseline not recorded at default path: err=%v\n%s", err, data)
 	}
-	stdout, stderr, code = runVet(t, root, append([]string{"-concsurface"}, pkgs...)...)
+
+	stdout, stderr, code := runVet(t, root, "-only", "concsurface")
+	if code != 0 {
+		t.Fatalf("clean diff failed: code=%d stdout=%q stderr=%q", code, stdout, stderr)
+	}
+
+	// Grow the surface: a second spawn site must trip the gate.
+	writeFiles(t, root, map[string]string{"internal/spawn/spawn.go": spawnOnce + spawnTwice})
+	stdout, stderr, code = runVet(t, root, "-only", "concsurface")
 	if code != 1 {
 		t.Fatalf("surface growth not detected: code=%d stdout=%q stderr=%q", code, stdout, stderr)
 	}
@@ -347,10 +360,16 @@ func FireTwice() {
 		t.Errorf("growth summary must point at -update-baseline:\n%s", stderr)
 	}
 
-	// -compilerdiag and -concsurface cannot be combined.
-	_, stderr, code = runVet(t, root, "-concsurface", "-compilerdiag")
-	if code == 0 || !strings.Contains(stderr, "mutually exclusive") {
-		t.Errorf("mode combination accepted: code=%d stderr=%q", code, stderr)
+	// With -json the growth is a finding of the concsurface gate,
+	// positioned at the new site.
+	stdout, _, code = runVet(t, root, "-json", "-only", "concsurface")
+	var f jsonFinding
+	if err := json.Unmarshal([]byte(strings.TrimSpace(stdout)), &f); code != 1 || err != nil {
+		t.Fatalf("-json growth: code=%d err=%v\n%s", code, err, stdout)
+	}
+	if f.Analyzer != "concsurface" || f.File != "internal/spawn/spawn.go" || f.Line != 12 ||
+		!strings.HasPrefix(f.Message, "new concurrency site in FireTwice") {
+		t.Errorf("unexpected firewall finding: %+v", f)
 	}
 }
 
@@ -388,21 +407,16 @@ func TestCLIListShowsGatesForAllSuites(t *testing.T) {
 	}
 }
 
-// writeParsafeModule materializes a temp module with one certified
-// entry point reaching a helper package.
-func writeParsafeModule(t *testing.T) string {
-	t.Helper()
-	root := t.TempDir()
-	files := map[string]string{
-		"go.mod": "module tempmod\n\ngo 1.22\n",
-		"internal/simd/simd.go": `package simd
+// parsafeFiles are a certified entry point reaching a helper package.
+var parsafeFiles = map[string]string{
+	"internal/simd/simd.go": `package simd
 
 //ookami:pure
 func Store(xs []float64, i int, v float64) {
 	xs[i] = v
 }
 `,
-		"internal/kern/kern.go": `package kern
+	"internal/kern/kern.go": `package kern
 
 import "tempmod/internal/simd"
 
@@ -413,46 +427,10 @@ func Triad(y, x []float64, s float64) {
 	}
 }
 `,
-	}
-	for name, src := range files {
-		path := filepath.Join(root, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return root
 }
 
-func TestCLIParsafeRoundtrip(t *testing.T) {
-	root := writeParsafeModule(t)
-	pkgs := []string{"internal/kern", "internal/simd"}
-
-	// Missing baseline is a hard error pointing at -update-baseline.
-	_, stderr, code := runVet(t, root, append([]string{"-parsafe"}, pkgs...)...)
-	if code == 0 || !strings.Contains(stderr, "-update-baseline") {
-		t.Fatalf("missing baseline: code=%d stderr=%q", code, stderr)
-	}
-
-	_, stderr, code = runVet(t, root, append([]string{"-parsafe", "-update-baseline"}, pkgs...)...)
-	if code != 0 {
-		t.Fatalf("-update-baseline failed: %s", stderr)
-	}
-	if _, err := os.Stat(filepath.Join(root, "internal", "analysis", "baseline", "parsafe.json")); err != nil {
-		t.Fatalf("baseline not written at default path: %v", err)
-	}
-
-	stdout, stderr, code := runVet(t, root, append([]string{"-parsafe"}, pkgs...)...)
-	if code != 0 {
-		t.Fatalf("clean diff failed: code=%d stdout=%q stderr=%q", code, stdout, stderr)
-	}
-
-	// Inject a global write under the certified entry point, through the
-	// helper package: the gate must fail and print the effect chain.
-	simd := filepath.Join(root, "internal", "simd", "simd.go")
-	src := `package simd
+// impureStore gives simd.Store a global write.
+const impureStore = `package simd
 
 var stores int
 
@@ -462,10 +440,19 @@ func Store(xs []float64, i int, v float64) {
 	xs[i] = v
 }
 `
-	if err := os.WriteFile(simd, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
+
+func TestCLIParsafeRoundtrip(t *testing.T) {
+	root := newModule(t, parsafeFiles)
+	recordBaselines(t, root, "internal/kern", "internal/simd")
+	stdout, stderr, code := runVet(t, root, "-only", "parsafe")
+	if code != 0 {
+		t.Fatalf("clean diff failed: code=%d stdout=%q stderr=%q", code, stdout, stderr)
 	}
-	stdout, stderr, code = runVet(t, root, append([]string{"-parsafe"}, pkgs...)...)
+
+	// Inject a global write under the certified entry point, through the
+	// helper package: the gate must fail and print the effect chain.
+	writeFiles(t, root, map[string]string{"internal/simd/simd.go": impureStore})
+	stdout, stderr, code = runVet(t, root, "-only", "parsafe")
 	if code != 1 {
 		t.Fatalf("injected global write not detected: code=%d stdout=%q stderr=%q", code, stdout, stderr)
 	}
@@ -479,21 +466,112 @@ func Store(xs []float64, i int, v float64) {
 	}
 }
 
-func TestCLIFirewallModesAreMutuallyExclusive(t *testing.T) {
-	root := writeModule(t)
-	for _, combo := range [][]string{
-		{"-parsafe", "-compilerdiag"},
-		{"-parsafe", "-concsurface"},
-		{"-compilerdiag", "-concsurface", "-parsafe"},
-	} {
-		_, stderr, code := runVet(t, root, combo...)
-		if code == 0 || !strings.Contains(stderr, "mutually exclusive") {
-			t.Errorf("%v accepted: code=%d stderr=%q", combo, code, stderr)
+// allGatesFiles is a module every gate passes on: a kernel package for
+// compilerdiag, a joined spawn for concsurface, and the certified pair
+// for parsafe.
+func allGatesFiles() map[string]string {
+	files := map[string]string{
+		"internal/loops/kernel.go": cleanKernel,
+		"internal/spawn/spawn.go": `package spawn
+
+import "sync"
+
+func Fire() {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+	}()
+	wg.Wait()
+}
+`,
+	}
+	for name, src := range parsafeFiles {
+		files[name] = src
+	}
+	return files
+}
+
+var allGatesScope = []string{"internal/kern", "internal/loops", "internal/simd", "internal/spawn"}
+
+func TestCLIOneRunFailsOnAnyGate(t *testing.T) {
+	faults := []struct {
+		gate, file, src, want string
+	}{
+		{"analyzer", "internal/loops/kernel.go", dirtyKernel, "[hotappend]"},
+		{"compilerdiag", "internal/loops/leak.go", "package loops\n\nfunc Leak(n int) *int {\n\tx := n\n\treturn &x\n}\n",
+			"new escape diagnostic in hot function Leak"},
+		{"concsurface", "internal/spawn/more.go", "package spawn\n\nfunc More(done chan int) {\n\tgo func() { done <- 1 }()\n\t<-done\n}\n",
+			"new concurrency site in More"},
+		{"parsafe", "internal/simd/simd.go", impureStore, "certified entry point Triad gained global-write"},
+	}
+	for _, f := range faults {
+		t.Run(f.gate, func(t *testing.T) {
+			root := newModule(t, allGatesFiles())
+			recordBaselines(t, root, allGatesScope...)
+			if stdout, stderr, code := runVet(t, root, "./..."); code != 0 {
+				t.Fatalf("clean module: code=%d stdout=%q stderr=%q", code, stdout, stderr)
+			}
+			writeFiles(t, root, map[string]string{f.file: f.src})
+			stdout, stderr, code := runVet(t, root, "./...")
+			if code != 1 || !strings.Contains(stdout, f.want) {
+				t.Errorf("%s fault: code=%d, want 1 with %q\nstdout:\n%s\nstderr:\n%s", f.gate, code, f.want, stdout, stderr)
+			}
+		})
+	}
+}
+
+func TestCLIUpdateBaselineRecordsAllAndIsIdempotent(t *testing.T) {
+	root := newModule(t, allGatesFiles())
+	scopeBaselines(t, root, allGatesScope)
+	if _, stderr, code := runVet(t, root, "-update-baseline"); code != 0 {
+		t.Fatalf("-update-baseline failed: code=%d stderr=%q", code, stderr)
+	}
+	first := map[string][]byte{}
+	for _, name := range baselineFiles {
+		data, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(name)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte(`"entries": [`)) {
+			t.Errorf("%s was not recorded:\n%s", name, data)
+		}
+		first[name] = data
+	}
+	if _, stderr, code := runVet(t, root, "-update-baseline"); code != 0 {
+		t.Fatalf("second -update-baseline failed: code=%d stderr=%q", code, stderr)
+	}
+	for _, name := range baselineFiles {
+		data, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(name)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, first[name]) {
+			t.Errorf("re-recording %s changed it:\n%s\nvs\n%s", name, first[name], data)
 		}
 	}
-	// -update-baseline alone must name all three modes.
-	_, stderr, code := runVet(t, root, "-update-baseline", "./...")
-	if code == 0 || !strings.Contains(stderr, "exactly one of -compilerdiag, -concsurface or -parsafe") {
-		t.Errorf("bare -update-baseline: code=%d stderr=%q", code, stderr)
+}
+
+func TestCLIOnlyRunsTheSelectedFirewall(t *testing.T) {
+	// The module has analyzer findings and no compilerdiag or parsafe
+	// baseline: -only concsurface must see none of that.
+	root := writeConcModule(t)
+	scopeBaselines(t, root, []string{"internal/link", "internal/spawn"}, "concsurface")
+	if _, stderr, code := runVet(t, root, "-update-baseline", "-only", "concsurface"); code != 0 {
+		t.Fatalf("-update-baseline -only concsurface failed: code=%d stderr=%q", code, stderr)
+	}
+	for _, name := range []string{baselineFiles[0], baselineFiles[2]} {
+		if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(name))); err == nil {
+			t.Errorf("-only concsurface recorded %s", name)
+		}
+	}
+	stdout, stderr, code := runVet(t, root, "-only", "concsurface")
+	if code != 0 || stdout != "" {
+		t.Fatalf("-only concsurface on a clean surface: code=%d stdout=%q stderr=%q", code, stdout, stderr)
+	}
+	writeFiles(t, root, map[string]string{"internal/spawn/spawn.go": spawnOnce + spawnTwice})
+	stdout, _, code = runVet(t, root, "-only", "concsurface")
+	if code != 1 || strings.Count(strings.TrimSpace(stdout), "\n") != 0 || !strings.Contains(stdout, "new concurrency site") {
+		t.Errorf("-only concsurface must report the one growth and nothing else: code=%d\n%s", code, stdout)
 	}
 }

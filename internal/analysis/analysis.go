@@ -89,7 +89,7 @@ func RunAll(p *Package, analyzers []Analyzer) []Diagnostic {
 
 // SortDiagnostics orders findings by file, line, column, analyzer.
 func SortDiagnostics(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
+	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
@@ -237,24 +237,52 @@ func filterNolint(p *Package, diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-// pathHasSuffix reports whether the import path matches a configured
+// PathHasSuffix reports whether the import path matches a configured
 // package suffix, e.g. "ookami/internal/figures" matches
 // "internal/figures". Full equality also matches so that test fixtures
 // can use the bare suffix as their path.
-func pathHasSuffix(path, suffix string) bool {
+func PathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
-// isTestFile reports whether the file's basename is a _test.go file.
-func isTestFile(pos token.Position) bool {
-	return strings.HasSuffix(pos.Filename, "_test.go")
+// IsTestFile reports whether f is a _test.go file.
+func (p *Package) IsTestFile(f *ast.File) bool {
+	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
 }
 
-// diag builds a Diagnostic at a node's position.
-func (p *Package) diag(analyzer string, n ast.Node, format string, args ...any) Diagnostic {
+// FuncDecls returns the function declarations with a body in the unit's
+// non-test files, in file and declaration order.
+func (p *Package) FuncDecls() []*ast.FuncDecl {
+	var decls []*ast.FuncDecl
+	for _, f := range p.Files {
+		if p.IsTestFile(f) {
+			continue
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				decls = append(decls, fd)
+			}
+		}
+	}
+	return decls
+}
+
+// Diag builds a Diagnostic at a node's position.
+func (p *Package) Diag(analyzer string, n ast.Node, format string, args ...any) Diagnostic {
 	return Diagnostic{
 		Analyzer: analyzer,
 		Pos:      p.Fset.Position(n.Pos()),
 		Message:  fmt.Sprintf(format, args...),
 	}
+}
+
+// ShortPos renders a position module-agnostically for cross-site
+// references inside messages: file base name and line ("team.go:42").
+func ShortPos(fset *token.FileSet, pos token.Pos) string {
+	p := fset.Position(pos)
+	name := p.Filename
+	if i := strings.LastIndexByte(name, '/'); i >= 0 {
+		name = name[i+1:]
+	}
+	return fmt.Sprintf("%s:%d", name, p.Line)
 }

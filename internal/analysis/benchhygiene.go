@@ -51,7 +51,7 @@ func (BenchHygiene) Run(p *Package) []Diagnostic {
 				continue
 			}
 			if !callsMethodOnObj(p, fd.Body, bObj, "ReportAllocs") {
-				diags = append(diags, p.diag(BenchHygiene{}.Name(), fd.Name,
+				diags = append(diags, p.Diag(BenchHygiene{}.Name(), fd.Name,
 					"%s has a b.N loop but never calls %s.ReportAllocs()", fd.Name.Name, bObj.Name()))
 			}
 			for _, loop := range loops {
@@ -168,10 +168,10 @@ func auditLoopBody(p *Package, fd *ast.FuncDecl, loop *ast.ForStmt) []Diagnostic
 				}
 			}
 			if allBlank {
-				diags = append(diags, p.diag(BenchHygiene{}.Name(), n,
+				diags = append(diags, p.Diag(BenchHygiene{}.Name(), n,
 					"benchmark loop discards its result into _; the timed work may be dead-code-eliminated — sink it"))
 			} else if len(dead) == len(nonBlankLHS(n)) && len(dead) > 0 {
-				diags = append(diags, p.diag(BenchHygiene{}.Name(), n,
+				diags = append(diags, p.Diag(BenchHygiene{}.Name(), n,
 					"benchmark loop assigns %s but never reads it; the timed work may be dead-code-eliminated — sink the result", dead[0].Name()))
 			}
 		case *ast.ExprStmt:
@@ -192,7 +192,7 @@ func auditLoopBody(p *Package, fd *ast.FuncDecl, loop *ast.ForStmt) []Diagnostic
 					return true // an argument can absorb the side effect
 				}
 			}
-			diags = append(diags, p.diag(BenchHygiene{}.Name(), n,
+			diags = append(diags, p.Diag(BenchHygiene{}.Name(), n,
 				"result of %s discarded in benchmark loop and no argument can carry a side effect — sink the result", fn.Name()))
 		}
 		return true

@@ -106,7 +106,7 @@ func (g *Graph) Format(fset *token.FileSet) string {
 	for _, b := range g.Blocks {
 		fmt.Fprintf(&sb, "b%d %s:", b.Index, b.Kind)
 		for _, n := range b.Nodes {
-			fmt.Fprintf(&sb, " {%s}", renderNode(fset, n))
+			fmt.Fprintf(&sb, " {%s}", Render(fset, n))
 		}
 		sb.WriteString(" ->")
 		if len(b.Succs) == 0 {
@@ -120,8 +120,9 @@ func (g *Graph) Format(fset *token.FileSet) string {
 	return sb.String()
 }
 
-// renderNode prints a shallow node on one line, whitespace collapsed.
-func renderNode(fset *token.FileSet, n ast.Node) string {
+// Render prints a node on one line, whitespace collapsed — the compact
+// form messages use ("b.mu", "p.Costs").
+func Render(fset *token.FileSet, n ast.Node) string {
 	var sb strings.Builder
 	cfg := printer.Config{Mode: printer.RawFormat}
 	if err := cfg.Fprint(&sb, fset, n); err != nil {

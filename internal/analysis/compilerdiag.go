@@ -1,12 +1,10 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
 	"os/exec"
 	"path"
 	"path/filepath"
@@ -206,17 +204,12 @@ func (idx *fileFuncIndex) lookup(line int) (string, bool) {
 	return "", false
 }
 
-// baselineKey is the churn-stable identity of a diagnostic.
-type baselineKey struct {
-	File, Func, Kind, Message string
-}
-
-func countFindings(findings []CompilerFinding) map[baselineKey]int {
-	counts := map[baselineKey]int{}
-	for _, f := range findings {
-		counts[baselineKey{f.File, f.Func, f.Kind, f.Message}]++
+func findingKeys(findings []CompilerFinding) []TallyKey {
+	keys := make([]TallyKey, len(findings))
+	for i, f := range findings {
+		keys[i] = TallyKey{f.File, f.Func, f.Kind, f.Message}
 	}
-	return counts
+	return keys
 }
 
 // BuildBaseline aggregates findings into a baseline for the given Go
@@ -225,28 +218,11 @@ func BuildBaseline(goVersion string, patterns []string, findings []CompilerFindi
 	if len(patterns) == 0 {
 		patterns = KernelPackagePatterns()
 	}
-	counts := countFindings(findings)
-	keys := make([]baselineKey, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Func != b.Func {
-			return a.Func < b.Func
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Message < b.Message
-	})
 	base := CompilerBaseline{GoVersion: goVersion, Packages: patterns}
+	keys, counts := Tally(findingKeys(findings))
 	for _, k := range keys {
 		base.Entries = append(base.Entries, BaselineEntry{
-			File: k.File, Func: k.Func, Kind: k.Kind, Message: k.Message, Count: counts[k],
+			File: k.File, Func: k.Func, Kind: k.Kind, Message: k.Detail, Count: counts[k],
 		})
 	}
 	return base
@@ -259,32 +235,21 @@ func BuildBaseline(goVersion string, patterns []string, findings []CompilerFindi
 // regressions, and are reported separately so baselines can be
 // re-tightened with -update-baseline.
 func DiffBaseline(base CompilerBaseline, findings []CompilerFinding) (regressions, improvements []string) {
-	accepted := map[baselineKey]int{}
+	accepted := map[TallyKey]int{}
 	for _, e := range base.Entries {
-		accepted[baselineKey{e.File, e.Func, e.Kind, e.Message}] = e.Count
+		accepted[TallyKey{e.File, e.Func, e.Kind, e.Message}] = e.Count
 	}
-	cur := countFindings(findings)
-	firstPos := map[baselineKey]CompilerFinding{}
-	for _, f := range findings {
-		k := baselineKey{f.File, f.Func, f.Kind, f.Message}
-		if _, ok := firstPos[k]; !ok {
-			firstPos[k] = f
-		}
+	growth, shrinkage := DiffTally(accepted, findingKeys(findings))
+	for _, d := range growth {
+		p := findings[d.First]
+		regressions = append(regressions, fmt.Sprintf(
+			"%s:%d:%d: new %s diagnostic in hot function %s: %q (%d now vs %d accepted)",
+			p.File, p.Line, p.Col, d.Key.Kind, d.Key.Func, d.Key.Detail, d.Now, d.Accepted))
 	}
-	for k, n := range cur {
-		if n > accepted[k] {
-			p := firstPos[k]
-			regressions = append(regressions, fmt.Sprintf(
-				"%s:%d:%d: new %s diagnostic in hot function %s: %q (%d now vs %d accepted)",
-				p.File, p.Line, p.Col, k.Kind, k.Func, k.Message, n, accepted[k]))
-		}
-	}
-	for k, n := range accepted {
-		if cur[k] < n {
-			improvements = append(improvements, fmt.Sprintf(
-				"%s: %s %q in %s: %d now vs %d accepted — baseline can be tightened",
-				k.File, k.Kind, k.Message, k.Func, cur[k], n))
-		}
+	for _, d := range shrinkage {
+		improvements = append(improvements, fmt.Sprintf(
+			"%s: %s %q in %s: %d now vs %d accepted — baseline can be tightened",
+			d.Key.File, d.Key.Kind, d.Key.Detail, d.Key.Func, d.Now, d.Accepted))
 	}
 	sort.Strings(regressions)
 	sort.Strings(improvements)
@@ -301,26 +266,4 @@ func GoVersion(moduleRoot string) (string, error) {
 		return "", fmt.Errorf("go env GOVERSION: %v", err)
 	}
 	return strings.TrimSpace(string(out)), nil
-}
-
-// LoadBaseline reads a baseline file.
-func LoadBaseline(path string) (CompilerBaseline, error) {
-	var base CompilerBaseline
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return base, err
-	}
-	if err := json.Unmarshal(data, &base); err != nil {
-		return base, fmt.Errorf("parsing baseline %s: %v", path, err)
-	}
-	return base, nil
-}
-
-// SaveBaseline writes a baseline file with stable formatting.
-func SaveBaseline(path string, base CompilerBaseline) error {
-	data, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -76,10 +76,10 @@ func TestCompilerDiagRegressionFirewall(t *testing.T) {
 	}
 	basePath := filepath.Join(root, "baseline.json")
 	base := BuildBaseline(goVersion, []string{"./internal/loops"}, findings)
-	if err := SaveBaseline(basePath, base); err != nil {
+	if err := SaveJSON(basePath, base); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadBaseline(basePath)
+	loaded, err := LoadJSON[CompilerBaseline](basePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestRepoBaselineIsCurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	basePath := filepath.Join(root, "internal", "analysis", "baseline", "compilerdiag.json")
-	base, err := LoadBaseline(basePath)
+	base, err := LoadJSON[CompilerBaseline](basePath)
 	if err != nil {
 		t.Fatalf("checked-in baseline missing: %v", err)
 	}

@@ -48,7 +48,7 @@ func (AtomicMix) Run(p *analysis.Package) []analysis.Diagnostic {
 	// plain accesses.
 	inAtomicArg := map[*ast.Ident]bool{}
 
-	decls := funcDecls(p)
+	decls := p.FuncDecls()
 	for _, fd := range decls {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -111,30 +111,13 @@ func (AtomicMix) Run(p *analysis.Package) []analysis.Diagnostic {
 			if !plainConflict(p, parents, id, other.element) {
 				return true
 			}
-			diags = append(diags, diag(p, "atomicmix", reportNode(parents, id),
+			diags = append(diags, p.Diag("atomicmix", reportNode(parents, id),
 				"%s is accessed with sync/atomic in %s but with a plain load/store here; all access to it must go through sync/atomic",
 				obj.Name(), other.fnName))
 			return true
 		})
 	}
 	return diags
-}
-
-// funcDecls returns the function declarations of the unit's non-test
-// files in file order.
-func funcDecls(p *analysis.Package) []*ast.FuncDecl {
-	var decls []*ast.FuncDecl
-	for _, f := range p.Files {
-		if isTestFile(p, f) {
-			continue
-		}
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				decls = append(decls, fd)
-			}
-		}
-	}
-	return decls
 }
 
 // otherFunc returns an atomic use from a different declaration than fd,

@@ -12,7 +12,9 @@
 // records, for every function declaration, which locks it may acquire,
 // which join signals (WaitGroup.Done, channel send/close) it may emit,
 // and which package-local functions it calls; transitive closures over
-// the call graph make the per-function facts interprocedural. The five
+// the call graph (the shared engine in internal/analysis, which the
+// purity pass uses too) make the per-function facts interprocedural.
+// The five
 // analyzers — lockorder, goleak, atomicmix, wgmisuse, locksync — then
 // combine the summaries with per-body CFGs from internal/analysis/cfg.
 //
@@ -21,15 +23,7 @@
 // runtimes' invariants are what the pass exists to protect.
 package conc
 
-import (
-	"fmt"
-	"go/ast"
-	"go/printer"
-	"go/token"
-	"strings"
-
-	"ookami/internal/analysis"
-)
+import "ookami/internal/analysis"
 
 // Analyzers returns the concurrency suite in stable order. cmd/ookami-vet
 // appends these to analysis.All().
@@ -41,39 +35,4 @@ func Analyzers() []analysis.Analyzer {
 		WGMisuse{},
 		LockSync{},
 	}
-}
-
-// diag builds a Diagnostic at a node's position.
-func diag(p *analysis.Package, analyzer string, n ast.Node, format string, args ...any) analysis.Diagnostic {
-	return analysis.Diagnostic{
-		Analyzer: analyzer,
-		Pos:      p.Fset.Position(n.Pos()),
-		Message:  fmt.Sprintf(format, args...),
-	}
-}
-
-// isTestFile reports whether the node lives in a _test.go file.
-func isTestFile(p *analysis.Package, f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
-}
-
-// render prints an expression compactly for messages ("b.mu", "t.wg").
-func render(fset *token.FileSet, n ast.Node) string {
-	var sb strings.Builder
-	cfg := printer.Config{Mode: printer.RawFormat}
-	if err := cfg.Fprint(&sb, fset, n); err != nil {
-		return fmt.Sprintf("<%T>", n)
-	}
-	return strings.Join(strings.Fields(sb.String()), " ")
-}
-
-// posString renders a position module-agnostically for cross-site
-// references inside messages (file base name + line).
-func posString(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	name := p.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", name, p.Line)
 }

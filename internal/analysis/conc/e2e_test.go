@@ -106,7 +106,7 @@ func (s Store) Len() int {
 `,
 	})
 
-	diags, err := analysis.Vet(root, []string{"./..."}, Analyzers())
+	diags, err := analysis.Vet(newLoader(t, root), []string{"./..."}, Analyzers())
 	if err != nil {
 		t.Fatalf("vet: %v", err)
 	}

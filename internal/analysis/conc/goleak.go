@@ -36,7 +36,7 @@ func (GoLeak) Doc() string {
 func (GoLeak) Run(p *analysis.Package) []analysis.Diagnostic {
 	s := summarize(p)
 	var diags []analysis.Diagnostic
-	for _, fi := range s.funcs {
+	for _, fi := range s.Funcs {
 		for _, g := range fi.spawns {
 			sig, known := spawnSignals(p, s, g)
 			if !known {
@@ -44,13 +44,13 @@ func (GoLeak) Run(p *analysis.Package) []analysis.Diagnostic {
 			}
 			switch {
 			case !sig.any():
-				diags = append(diags, diag(p, "goleak", g,
+				diags = append(diags, p.Diag("goleak", g,
 					"goroutine has no join edge: its body signals no completion (no WaitGroup.Done, channel send, or close), so nothing can wait for it"))
 			case sig.wgDone && !s.hasWgWait && !(sig.chanSend && s.hasChanRecv):
-				diags = append(diags, diag(p, "goleak", g,
+				diags = append(diags, p.Diag("goleak", g,
 					"goroutine signals completion via WaitGroup.Done but nothing in the package calls Wait"))
 			case sig.chanSend && !s.hasChanRecv && !(sig.wgDone && s.hasWgWait):
-				diags = append(diags, diag(p, "goleak", g,
+				diags = append(diags, p.Diag("goleak", g,
 					"goroutine signals completion on a channel but nothing in the package receives"))
 			}
 		}
@@ -66,8 +66,8 @@ func spawnSignals(p *analysis.Package, s *summary, g *ast.GoStmt) (sigSet, bool)
 	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		return litSignals(p, s, lit), true
 	}
-	if fd := calleeDecl(p, s, g.Call); fd != nil {
-		return s.transSignals[fd], true
+	if fd := s.callee(g.Call); fd != nil {
+		return fd.signals, true
 	}
 	return sigSet{}, false
 }
@@ -85,14 +85,14 @@ func litSignals(p *analysis.Package, s *summary, lit *ast.FuncLit) sigSet {
 		case *ast.SendStmt:
 			sig.chanSend = true
 		case *ast.CallExpr:
-			if isBuiltin(p, n, "close") {
+			if analysis.IsBuiltin(p, n, "close") {
 				sig.chanSend = true
 			}
 			if _, _, method := wgCall(p, n); method == "Done" {
 				sig.wgDone = true
 			}
-			if fd := calleeDecl(p, s, n); fd != nil {
-				sig = sig.union(s.transSignals[fd])
+			if fd := s.callee(n); fd != nil {
+				sig = sig.union(fd.signals)
 			}
 		}
 		return true
@@ -104,7 +104,7 @@ func litSignals(p *analysis.Package, s *summary, lit *ast.FuncLit) sigSet {
 func timerLeaks(p *analysis.Package) []analysis.Diagnostic {
 	var diags []analysis.Diagnostic
 	for _, f := range p.Files {
-		if isTestFile(p, f) {
+		if p.IsTestFile(f) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -118,7 +118,7 @@ func timerLeaks(p *analysis.Package) []analysis.Diagnostic {
 					continue
 				}
 				if call := timeAfterRecv(p, cc.Comm); call != nil {
-					diags = append(diags, diag(p, "goleak", call,
+					diags = append(diags, p.Diag("goleak", call,
 						"<-time.After in a multi-case select leaks the timer until it fires when another case wins; use time.NewTimer and defer/call Stop"))
 				}
 			}

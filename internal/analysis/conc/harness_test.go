@@ -56,6 +56,16 @@ func runFixture(t *testing.T, path string, analyzers []analysis.Analyzer, files 
 	return got
 }
 
+// newLoader builds a fresh loader over the module at root.
+func newLoader(t *testing.T, root string) *analysis.Loader {
+	t.Helper()
+	l, err := analysis.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // writeTree materializes a file tree under a temp dir.
 func writeTree(t *testing.T, files map[string]string) string {
 	t.Helper()

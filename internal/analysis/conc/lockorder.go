@@ -48,7 +48,7 @@ func (LockOrder) Run(p *analysis.Package) []analysis.Diagnostic {
 			order = append(order, e)
 		}
 	}
-	for _, fi := range s.funcs {
+	for _, fi := range s.Funcs {
 		for _, u := range collectUnits(p, s, fi) {
 			lockFlow(u, func(held map[types.Object]bool, o op) {
 				switch o.kind {
@@ -58,7 +58,7 @@ func (LockOrder) Run(p *analysis.Package) []analysis.Diagnostic {
 					}
 				case opCall:
 					for _, h := range sortedObjs(held) {
-						for _, a := range sortedObjs(s.transAcquires[o.callee]) {
+						for _, a := range sortedObjs(o.callee.acquires) {
 							addEdge(h, a, o.node)
 						}
 					}
@@ -79,16 +79,16 @@ func (LockOrder) Run(p *analysis.Package) []analysis.Diagnostic {
 			continue
 		}
 		if e.from == e.to {
-			diags = append(diags, diag(p, "lockorder", sites[e],
+			diags = append(diags, p.Diag("lockorder", sites[e],
 				"%s may already be held when it is (re)acquired here; sync mutexes are not reentrant and self-deadlock",
 				s.nameOf(e.from)))
 			continue
 		}
 		msg := "part of a lock-order cycle"
 		if back, ok := sites[lockEdge{e.to, e.from}]; ok {
-			msg = "the reverse order is taken at " + posString(p.Fset, back.Pos())
+			msg = "the reverse order is taken at " + analysis.ShortPos(p.Fset, back.Pos())
 		}
-		diags = append(diags, diag(p, "lockorder", sites[e],
+		diags = append(diags, p.Diag("lockorder", sites[e],
 			"%s is acquired while holding %s, but %s — inconsistent lock order can deadlock",
 			s.nameOf(e.to), s.nameOf(e.from), msg))
 	}

@@ -39,12 +39,12 @@ func (LockSync) Run(p *analysis.Package) []analysis.Diagnostic {
 	s := summarize(p)
 	var diags []analysis.Diagnostic
 	for _, f := range p.Files {
-		if isTestFile(p, f) {
+		if p.IsTestFile(f) {
 			continue
 		}
 		diags = append(diags, copiedLocks(p, f)...)
 	}
-	for _, fi := range s.funcs {
+	for _, fi := range s.Funcs {
 		for _, u := range collectUnits(p, s, fi) {
 			diags = append(diags, lockLeaks(p, u)...)
 			diags = append(diags, deferInLoop(p, u)...)
@@ -101,7 +101,7 @@ func copiedLocks(p *analysis.Package, f *ast.File) []analysis.Diagnostic {
 			if t == nil || !lockBearing(t) {
 				continue
 			}
-			diags = append(diags, diag(p, "locksync", field.Type,
+			diags = append(diags, p.Diag("locksync", field.Type,
 				"%s copies a lock-bearing value of type %s; the copy is an independent lock — pass a pointer", what, t))
 		}
 	}
@@ -128,7 +128,7 @@ func copiedLocks(p *analysis.Package, f *ast.File) []analysis.Diagnostic {
 				if t == nil || !lockBearing(t) {
 					continue
 				}
-				diags = append(diags, diag(p, "locksync", n.Lhs[i],
+				diags = append(diags, p.Diag("locksync", n.Lhs[i],
 					"assignment copies a lock-bearing value of type %s; the copy is an independent lock — use a pointer", t))
 			}
 		case *ast.RangeStmt:
@@ -137,7 +137,7 @@ func copiedLocks(p *analysis.Package, f *ast.File) []analysis.Diagnostic {
 			}
 			t := p.Info.TypeOf(n.Value)
 			if t != nil && lockBearing(t) {
-				diags = append(diags, diag(p, "locksync", n.Value,
+				diags = append(diags, p.Diag("locksync", n.Value,
 					"range value copies a lock-bearing value of type %s per iteration; range over indices or pointers instead", t))
 			}
 		}
@@ -182,9 +182,9 @@ func lockLeaks(p *analysis.Package, u *unit) []analysis.Diagnostic {
 			continue
 		}
 		if leakPath(u, site, release) {
-			diags = append(diags, diag(p, "locksync", site.op.node,
+			diags = append(diags, p.Diag("locksync", site.op.node,
 				"%s is locked here but some path to the function exit never calls %s",
-				render(p.Fset, site.op.node.(*ast.CallExpr).Fun), release))
+				cfg.Render(p.Fset, site.op.node.(*ast.CallExpr).Fun), release))
 		}
 	}
 	return diags
@@ -248,9 +248,9 @@ func deferInLoop(p *analysis.Package, u *unit) []analysis.Diagnostic {
 				inCycle = u.graph.InCycle()
 			}
 			if inCycle[b] {
-				diags = append(diags, diag(p, "locksync", o.node,
+				diags = append(diags, p.Diag("locksync", o.node,
 					"defer %s inside a loop runs at function return, not at iteration end; unlock explicitly or extract the body",
-					render(p.Fset, o.node.(*ast.CallExpr).Fun)))
+					cfg.Render(p.Fset, o.node.(*ast.CallExpr).Fun)))
 			}
 		}
 	}

@@ -115,20 +115,10 @@ func atomicCall(p *analysis.Package, call *ast.CallExpr) bool {
 	return fn != nil && analysis.FuncPkgPath(fn) == "sync/atomic" && analysis.RecvNamed(fn) == nil
 }
 
-// isBuiltin reports whether the call invokes the named universe builtin.
-func isBuiltin(p *analysis.Package, call *ast.CallExpr, name string) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	_, isB := p.Info.Uses[id].(*types.Builtin)
-	return isB
-}
-
 // makesChan reports whether the call is make(chan ...) and, if so,
 // whether a capacity argument makes it buffered.
 func makesChan(p *analysis.Package, call *ast.CallExpr) (isChan, buffered bool) {
-	if !isBuiltin(p, call, "make") || len(call.Args) == 0 {
+	if !analysis.IsBuiltin(p, call, "make") || len(call.Args) == 0 {
 		return false, false
 	}
 	t := p.Info.TypeOf(call.Args[0])
@@ -158,14 +148,4 @@ func isChanType(p *analysis.Package, e ast.Expr) bool {
 	}
 	_, ok := t.Underlying().(*types.Chan)
 	return ok
-}
-
-// calleeDecl resolves a call to a function declared in this package
-// unit, or nil. Used for the package-local call graph.
-func calleeDecl(p *analysis.Package, s *summary, call *ast.CallExpr) *funcInfo {
-	fn := analysis.CalleeFunc(p, call)
-	if fn == nil {
-		return nil
-	}
-	return s.byObj[fn]
 }

@@ -31,27 +31,25 @@ func (s sigSet) any() bool { return s.wgDone || s.chanSend }
 
 // funcInfo is the summary of one function declaration.
 type funcInfo struct {
-	decl *ast.FuncDecl
-	name string
+	analysis.Func
 	// acquires holds locks this function's own goroutine may take:
 	// lock ops in the declaration body and in closures that run inline
 	// (immediately invoked or deferred), but not in spawned or escaping
 	// closures — those execute on other goroutines or unknown stacks.
+	// summarize closes it over the package-local callees.
 	acquires map[types.Object]bool
 	// signals are join signals emitted anywhere in the body except
-	// inside nested go statements (a nested spawn joins itself).
+	// inside nested go statements (a nested spawn joins itself), closed
+	// over the package-local callees like acquires.
 	signals sigSet
 	// spawns are the go statements in the body, at any nesting depth.
 	spawns []*ast.GoStmt
-	// calls are package-local callees invoked anywhere in the body.
-	calls []*funcInfo
 }
 
 // summary is the per-package-unit concurrency model.
 type summary struct {
-	p     *analysis.Package
-	funcs []*funcInfo
-	byObj map[types.Object]*funcInfo // *types.Func -> summary
+	*analysis.Graph[*funcInfo]
+	p *analysis.Package
 	// lockName remembers the first rendering of each lock for messages.
 	lockName map[types.Object]string
 	// hasWgWait / hasChanRecv: whether any non-test code in the unit
@@ -59,42 +57,43 @@ type summary struct {
 	// "join counterpart exists" facts goleak needs.
 	hasWgWait   bool
 	hasChanRecv bool
-	// transitive closures over the package-local call graph.
-	transAcquires map[*funcInfo]map[types.Object]bool
-	transSignals  map[*funcInfo]sigSet
 }
 
 // summarize builds the summary for one package unit, scanning only
-// non-test files.
+// non-test files, and closes acquires and signals over the
+// package-local call graph (a union fixpoint; cycles are fine).
 func summarize(p *analysis.Package) *summary {
 	s := &summary{
+		Graph: analysis.NewGraph([]*analysis.Package{p}, func(f analysis.Func) *funcInfo {
+			return &funcInfo{Func: f, acquires: map[types.Object]bool{}}
+		}),
 		p:        p,
-		byObj:    map[types.Object]*funcInfo{},
 		lockName: map[types.Object]string{},
 	}
-	// Pass 1: register declarations so calls can resolve to them.
-	for _, f := range p.Files {
-		if isTestFile(p, f) {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fi := &funcInfo{decl: fd, name: analysis.FuncDisplayName(fd), acquires: map[types.Object]bool{}}
-			s.funcs = append(s.funcs, fi)
-			if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-				s.byObj[obj] = fi
-			}
-		}
-	}
-	// Pass 2: fill per-function facts.
-	for _, fi := range s.funcs {
+	for _, fi := range s.Funcs {
 		s.scanFunc(fi)
 	}
-	s.close()
+	s.Fixpoint(func(fi *funcInfo, _ analysis.CallSite, callee *funcInfo) bool {
+		changed := false
+		for o := range callee.acquires {
+			if !fi.acquires[o] {
+				fi.acquires[o] = true
+				changed = true
+			}
+		}
+		if merged := fi.signals.union(callee.signals); merged != fi.signals {
+			fi.signals = merged
+			changed = true
+		}
+		return changed
+	})
 	return s
+}
+
+// callee resolves a call to a declaration of this package unit, or nil.
+func (s *summary) callee(call *ast.CallExpr) *funcInfo {
+	fi, _ := s.Lookup(analysis.CalleeFunc(s.p, call))
+	return fi
 }
 
 // scanFunc walks one declaration body collecting acquires, signals,
@@ -104,7 +103,7 @@ func (s *summary) scanFunc(fi *funcInfo) {
 	// inlineLits are function literals that run on this goroutine's
 	// stack: immediately invoked (func(){...}()) or deferred.
 	inlineLits := map[*ast.FuncLit]bool{}
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
@@ -128,7 +127,7 @@ func (s *summary) scanFunc(fi *funcInfo) {
 				// The spawned call's effects belong to the new
 				// goroutine; calls are still recorded for the call
 				// graph used by goleak, but locks and signals are not.
-				walkCallsOnly(p, s, fi, m.Call)
+				s.walkCallsOnly(fi, m.Call)
 				return false
 			case *ast.FuncLit:
 				if m == n {
@@ -139,7 +138,7 @@ func (s *summary) scanFunc(fi *funcInfo) {
 				if inlineLits[m] {
 					walk(m.Body, inGo)
 				} else {
-					walkCallsOnly(p, s, fi, m.Body)
+					s.walkCallsOnly(fi, m.Body)
 				}
 				return false
 			case *ast.CallExpr:
@@ -153,12 +152,10 @@ func (s *summary) scanFunc(fi *funcInfo) {
 				if _, _, method := wgCall(p, m); method == "Wait" {
 					s.hasWgWait = true
 				}
-				if isBuiltin(p, m, "close") {
+				if analysis.IsBuiltin(p, m, "close") {
 					fi.signals.chanSend = true
 				}
-				if fd := calleeDecl(p, s, m); fd != nil {
-					fi.calls = append(fi.calls, fd)
-				}
+				s.addCall(fi, m)
 			case *ast.SendStmt:
 				fi.signals.chanSend = true
 			case *ast.UnaryExpr:
@@ -173,21 +170,19 @@ func (s *summary) scanFunc(fi *funcInfo) {
 			return true
 		})
 	}
-	walk(fi.decl.Body, false)
+	walk(fi.Decl.Body, false)
 }
 
-// walkCallsOnly records package-local call edges, spawn sites and
-// receive facts under n without attributing locks or signals to fi's
-// goroutine.
-func walkCallsOnly(p *analysis.Package, s *summary, fi *funcInfo, n ast.Node) {
+// walkCallsOnly records call edges, spawn sites and receive facts under
+// n without attributing locks or signals to fi's goroutine.
+func (s *summary) walkCallsOnly(fi *funcInfo, n ast.Node) {
+	p := s.p
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.GoStmt:
 			fi.spawns = append(fi.spawns, m)
 		case *ast.CallExpr:
-			if fd := calleeDecl(p, s, m); fd != nil {
-				fi.calls = append(fi.calls, fd)
-			}
+			s.addCall(fi, m)
 			if _, _, method := wgCall(p, m); method == "Wait" {
 				s.hasWgWait = true
 			}
@@ -204,10 +199,18 @@ func walkCallsOnly(p *analysis.Package, s *summary, fi *funcInfo, n ast.Node) {
 	})
 }
 
+// addCall records a call site; the fixpoint follows the ones that
+// resolve to a declaration of this unit.
+func (s *summary) addCall(fi *funcInfo, call *ast.CallExpr) {
+	if cs, ok := analysis.SiteOf(s.p, call); ok {
+		fi.Calls = append(fi.Calls, cs)
+	}
+}
+
 // noteLockName remembers a human-readable name for a lock object.
 func (s *summary) noteLockName(obj types.Object, recv ast.Expr) {
 	if _, ok := s.lockName[obj]; !ok {
-		s.lockName[obj] = render(s.p.Fset, recv)
+		s.lockName[obj] = cfg.Render(s.p.Fset, recv)
 	}
 }
 
@@ -217,42 +220,6 @@ func (s *summary) nameOf(obj types.Object) string {
 		return n
 	}
 	return obj.Name()
-}
-
-// close computes the transitive acquire and signal closures over the
-// package-local call graph (fixpoint; cycles are fine).
-func (s *summary) close() {
-	s.transAcquires = map[*funcInfo]map[types.Object]bool{}
-	s.transSignals = map[*funcInfo]sigSet{}
-	for _, fi := range s.funcs {
-		acq := map[types.Object]bool{}
-		for o := range fi.acquires {
-			acq[o] = true
-		}
-		s.transAcquires[fi] = acq
-		s.transSignals[fi] = fi.signals
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range s.funcs {
-			acq := s.transAcquires[fi]
-			sig := s.transSignals[fi]
-			for _, callee := range fi.calls {
-				for o := range s.transAcquires[callee] {
-					if !acq[o] {
-						acq[o] = true
-						changed = true
-					}
-				}
-				merged := sig.union(s.transSignals[callee])
-				if merged != sig {
-					sig = merged
-					changed = true
-				}
-			}
-			s.transSignals[fi] = sig
-		}
-	}
 }
 
 // ---- CFG units and operation extraction ----
@@ -297,7 +264,7 @@ type unit struct {
 func collectUnits(p *analysis.Package, s *summary, fi *funcInfo) []*unit {
 	units := []*unit{{fi: fi}}
 	goLits := map[*ast.FuncLit]bool{}
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		if g, ok := n.(*ast.GoStmt); ok {
 			if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 				goLits[lit] = true
@@ -309,7 +276,7 @@ func collectUnits(p *analysis.Package, s *summary, fi *funcInfo) []*unit {
 		return true
 	})
 	for _, u := range units {
-		body := fi.decl.Body
+		body := fi.Decl.Body
 		if u.lit != nil {
 			body = u.lit.Body
 		}
@@ -364,11 +331,11 @@ func extractOps(p *analysis.Package, s *summary, n ast.Node) []op {
 				ops = append(ops, op{kind: kind, obj: obj, node: m, deferred: deferred})
 				return true
 			}
-			if isBuiltin(p, m, "panic") {
+			if analysis.IsBuiltin(p, m, "panic") {
 				ops = append(ops, op{kind: opPanic, node: m, deferred: deferred})
 				return true
 			}
-			if fd := calleeDecl(p, s, m); fd != nil {
+			if fd := s.callee(m); fd != nil {
 				ops = append(ops, op{kind: opCall, node: m, callee: fd, deferred: deferred})
 			}
 		}

@@ -1,24 +1,23 @@
 package conc
 
 // The concurrency-surface firewall. Mirroring the compilerdiag
-// firewall's shape, `ookami-vet -concsurface` records every goroutine
-// spawn, lock call and channel make in the concurrent runtime packages
-// and diffs the set against a committed baseline. The ROADMAP's next
+// firewall's shape, the concsurface gate of `ookami-vet` records every
+// goroutine spawn, lock call and channel make in the concurrent runtime
+// packages and diffs the set against a committed baseline. The ROADMAP's next
 // steps (worker-pool emulator fast path, ookami-serve, parallel tune
 // sweeps) all grow this surface; the firewall makes each new site an
 // explicit, reviewed decision — CI fails until the author reruns with
 // -update-baseline and commits the grown baseline.
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
 	"ookami/internal/analysis"
+	"ookami/internal/analysis/cfg"
 )
 
 // SurfacePackages is the default firewall scope: the packages that
@@ -67,17 +66,13 @@ type SurfaceBaseline struct {
 // CollectSurface loads the packages (module-relative directories) and
 // returns every concurrency site in their non-test files, sorted by
 // position.
-func CollectSurface(moduleRoot string, pkgs []string) ([]SurfaceSite, error) {
+func CollectSurface(l *analysis.Loader, pkgs []string) ([]SurfaceSite, error) {
 	if len(pkgs) == 0 {
 		pkgs = SurfacePackages
 	}
-	l, err := analysis.NewLoader(moduleRoot)
-	if err != nil {
-		return nil, err
-	}
 	var sites []SurfaceSite
 	for _, pkg := range pkgs {
-		dir := filepath.Join(moduleRoot, filepath.FromSlash(pkg))
+		dir := filepath.Join(l.ModuleRoot, filepath.FromSlash(pkg))
 		units, err := l.LoadDir(dir)
 		if err != nil {
 			return nil, fmt.Errorf("loading %s: %w", pkg, err)
@@ -86,7 +81,7 @@ func CollectSurface(moduleRoot string, pkgs []string) ([]SurfaceSite, error) {
 			if strings.HasSuffix(u.Path, "_test") {
 				continue
 			}
-			sites = append(sites, surfaceSites(u, moduleRoot)...)
+			sites = append(sites, surfaceSites(u, l.ModuleRoot)...)
 		}
 	}
 	sort.Slice(sites, func(i, j int) bool {
@@ -106,66 +101,52 @@ func CollectSurface(moduleRoot string, pkgs []string) ([]SurfaceSite, error) {
 func surfaceSites(p *analysis.Package, moduleRoot string) []SurfaceSite {
 	var sites []SurfaceSite
 	prefix := moduleRoot + string(filepath.Separator)
-	for _, f := range p.Files {
-		if isTestFile(p, f) {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn := analysis.FuncDisplayName(fd)
-			add := func(n ast.Node, kind, detail string) {
-				pos := p.Fset.Position(n.Pos())
-				sites = append(sites, SurfaceSite{
-					File:   filepath.ToSlash(strings.TrimPrefix(pos.Filename, prefix)),
-					Line:   pos.Line,
-					Func:   fn,
-					Kind:   kind,
-					Detail: detail,
-				})
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.GoStmt:
-					detail := "go func literal"
-					if _, isLit := ast.Unparen(n.Call.Fun).(*ast.FuncLit); !isLit {
-						detail = "go " + render(p.Fset, n.Call.Fun)
-					}
-					add(n, "go", detail)
-				case *ast.CallExpr:
-					if obj, recv, method := lockCall(p, n); obj != nil && lockAcquires(method) {
-						add(n, "lock", render(p.Fset, recv)+"."+method)
-					}
-					if isChan, buffered := makesChan(p, n); isChan {
-						detail := "make " + render(p.Fset, n.Args[0])
-						if buffered {
-							detail += " (buffered)"
-						} else {
-							detail += " (unbuffered)"
-						}
-						add(n, "chan", detail)
-					}
-				}
-				return true
+	for _, fd := range p.FuncDecls() {
+		fn := analysis.FuncDisplayName(fd)
+		add := func(n ast.Node, kind, detail string) {
+			pos := p.Fset.Position(n.Pos())
+			sites = append(sites, SurfaceSite{
+				File:   filepath.ToSlash(strings.TrimPrefix(pos.Filename, prefix)),
+				Line:   pos.Line,
+				Func:   fn,
+				Kind:   kind,
+				Detail: detail,
 			})
 		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				detail := "go func literal"
+				if _, isLit := ast.Unparen(n.Call.Fun).(*ast.FuncLit); !isLit {
+					detail = "go " + cfg.Render(p.Fset, n.Call.Fun)
+				}
+				add(n, "go", detail)
+			case *ast.CallExpr:
+				if obj, recv, method := lockCall(p, n); obj != nil && lockAcquires(method) {
+					add(n, "lock", cfg.Render(p.Fset, recv)+"."+method)
+				}
+				if isChan, buffered := makesChan(p, n); isChan {
+					detail := "make " + cfg.Render(p.Fset, n.Args[0])
+					if buffered {
+						detail += " (buffered)"
+					} else {
+						detail += " (unbuffered)"
+					}
+					add(n, "chan", detail)
+				}
+			}
+			return true
+		})
 	}
 	return sites
 }
 
-// surfaceKey is the churn-stable identity of a site.
-type surfaceKey struct {
-	File, Func, Kind, Detail string
-}
-
-func countSites(sites []SurfaceSite) map[surfaceKey]int {
-	counts := map[surfaceKey]int{}
-	for _, s := range sites {
-		counts[surfaceKey{s.File, s.Func, s.Kind, s.Detail}]++
+func siteKeys(sites []SurfaceSite) []analysis.TallyKey {
+	keys := make([]analysis.TallyKey, len(sites))
+	for i, s := range sites {
+		keys[i] = analysis.TallyKey{File: s.File, Func: s.Func, Kind: s.Kind, Detail: s.Detail}
 	}
-	return counts
+	return keys
 }
 
 // BuildSurfaceBaseline aggregates sites into a baseline in stable order.
@@ -173,25 +154,8 @@ func BuildSurfaceBaseline(pkgs []string, sites []SurfaceSite) SurfaceBaseline {
 	if len(pkgs) == 0 {
 		pkgs = SurfacePackages
 	}
-	counts := countSites(sites)
-	keys := make([]surfaceKey, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Func != b.Func {
-			return a.Func < b.Func
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Detail < b.Detail
-	})
 	base := SurfaceBaseline{Packages: pkgs}
+	keys, counts := analysis.Tally(siteKeys(sites))
 	for _, k := range keys {
 		base.Entries = append(base.Entries, SurfaceEntry{
 			File: k.File, Func: k.Func, Kind: k.Kind, Detail: k.Detail, Count: counts[k],
@@ -204,56 +168,22 @@ func BuildSurfaceBaseline(pkgs []string, sites []SurfaceSite) SurfaceBaseline {
 // (count above the accepted one) fails the firewall; shrinkage is an
 // improvement to re-tighten with -update-baseline.
 func DiffSurface(base SurfaceBaseline, sites []SurfaceSite) (growth, shrinkage []string) {
-	accepted := map[surfaceKey]int{}
+	accepted := map[analysis.TallyKey]int{}
 	for _, e := range base.Entries {
-		accepted[surfaceKey{e.File, e.Func, e.Kind, e.Detail}] = e.Count
+		accepted[analysis.TallyKey{File: e.File, Func: e.Func, Kind: e.Kind, Detail: e.Detail}] = e.Count
 	}
-	cur := countSites(sites)
-	firstPos := map[surfaceKey]SurfaceSite{}
-	for _, s := range sites {
-		k := surfaceKey{s.File, s.Func, s.Kind, s.Detail}
-		if _, ok := firstPos[k]; !ok {
-			firstPos[k] = s
-		}
+	grown, shrunk := analysis.DiffTally(accepted, siteKeys(sites))
+	for _, d := range grown {
+		growth = append(growth, fmt.Sprintf(
+			"%s:%d: new concurrency site in %s: [%s] %s (%d now vs %d accepted)",
+			d.Key.File, sites[d.First].Line, d.Key.Func, d.Key.Kind, d.Key.Detail, d.Now, d.Accepted))
 	}
-	for k, n := range cur {
-		if n > accepted[k] {
-			s := firstPos[k]
-			growth = append(growth, fmt.Sprintf(
-				"%s:%d: new concurrency site in %s: [%s] %s (%d now vs %d accepted)",
-				s.File, s.Line, k.Func, k.Kind, k.Detail, n, accepted[k]))
-		}
-	}
-	for k, n := range accepted {
-		if cur[k] < n {
-			shrinkage = append(shrinkage, fmt.Sprintf(
-				"%s: [%s] %s in %s: %d now vs %d accepted — baseline can be tightened",
-				k.File, k.Kind, k.Detail, k.Func, cur[k], n))
-		}
+	for _, d := range shrunk {
+		shrinkage = append(shrinkage, fmt.Sprintf(
+			"%s: [%s] %s in %s: %d now vs %d accepted — baseline can be tightened",
+			d.Key.File, d.Key.Kind, d.Key.Detail, d.Key.Func, d.Now, d.Accepted))
 	}
 	sort.Strings(growth)
 	sort.Strings(shrinkage)
 	return growth, shrinkage
-}
-
-// LoadSurfaceBaseline reads a baseline file.
-func LoadSurfaceBaseline(path string) (SurfaceBaseline, error) {
-	var base SurfaceBaseline
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return base, err
-	}
-	if err := json.Unmarshal(data, &base); err != nil {
-		return base, fmt.Errorf("parsing baseline %s: %v", path, err)
-	}
-	return base, nil
-}
-
-// SaveSurfaceBaseline writes a baseline file with stable formatting.
-func SaveSurfaceBaseline(path string, base SurfaceBaseline) error {
-	data, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ookami/internal/analysis"
 )
 
 // concurrentPkg is a small runtime-shaped package for surface tests.
@@ -47,7 +49,7 @@ func surfaceModule() map[string]string {
 
 func TestCollectSurfaceFindsGoLockChanSites(t *testing.T) {
 	root := writeTree(t, surfaceModule())
-	sites, err := CollectSurface(root, []string{"internal/rt"})
+	sites, err := CollectSurface(newLoader(t, root), []string{"internal/rt"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +70,16 @@ func TestCollectSurfaceFindsGoLockChanSites(t *testing.T) {
 func TestSurfaceBaselineRoundTripAndDiff(t *testing.T) {
 	root := writeTree(t, surfaceModule())
 	pkgs := []string{"internal/rt"}
-	sites, err := CollectSurface(root, pkgs)
+	sites, err := CollectSurface(newLoader(t, root), pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := BuildSurfaceBaseline(pkgs, sites)
 	path := filepath.Join(root, "concsurface.json")
-	if err := SaveSurfaceBaseline(path, base); err != nil {
+	if err := analysis.SaveJSON(path, base); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSurfaceBaseline(path)
+	loaded, err := analysis.LoadJSON[SurfaceBaseline](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func fireAndForget(done chan struct{}) {
 }
 `
 	writeFile(t, grownRoot, "internal/rt/rt.go", grown)
-	grownSites, err := CollectSurface(grownRoot, pkgs)
+	grownSites, err := CollectSurface(newLoader(t, grownRoot), pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func fireAndForget(done chan struct{}) {
 	shrunk := strings.Replace(surfaceModule()["internal/rt/rt.go"],
 		"\tp.mu.Lock()\n\tdefer p.mu.Unlock()\n", "", 1)
 	writeFile(t, shrunkRoot, "internal/rt/rt.go", shrunk)
-	shrunkSites, err := CollectSurface(shrunkRoot, pkgs)
+	shrunkSites, err := CollectSurface(newLoader(t, shrunkRoot), pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func (WGMisuse) Doc() string {
 func (WGMisuse) Run(p *analysis.Package) []analysis.Diagnostic {
 	s := summarize(p)
 	var diags []analysis.Diagnostic
-	for _, fi := range s.funcs {
+	for _, fi := range s.Funcs {
 		diags = append(diags, addInsideSpawn(p, fi)...)
 		for _, u := range collectUnits(p, s, fi) {
 			diags = append(diags, addAfterWait(p, u)...)
@@ -62,7 +62,7 @@ func addInsideSpawn(p *analysis.Package, fi *funcInfo) []analysis.Diagnostic {
 				return true
 			}
 			if obj, _, method := wgCall(p, call); obj != nil && method == "Add" {
-				diags = append(diags, diag(p, "wgmisuse", call,
+				diags = append(diags, p.Diag("wgmisuse", call,
 					"WaitGroup.Add inside the spawned goroutine races with Wait: the spawner can Wait before this runs; Add before the go statement"))
 			}
 			return true
@@ -93,7 +93,7 @@ func addAfterWait(p *analysis.Package, u *unit) []analysis.Diagnostic {
 			}
 		}
 		if sawWaitBefore && !waitAfter {
-			diags = append(diags, diag(p, "wgmisuse", addSite.op.node,
+			diags = append(diags, p.Diag("wgmisuse", addSite.op.node,
 				"WaitGroup.Add after Wait has returned, with no later Wait: the added work is never waited for"))
 		}
 	}
@@ -109,11 +109,11 @@ func doneWithoutAdd(p *analysis.Package, u *unit) []analysis.Diagnostic {
 	var diags []analysis.Diagnostic
 	for _, doneSite := range opSites(u, opWGDone) {
 		obj := doneSite.op.obj
-		if !declaredIn(obj, u.fi.decl) {
+		if !declaredIn(obj, u.fi.Decl) {
 			continue
 		}
 		if addFreePath(u, doneSite) {
-			diags = append(diags, diag(p, "wgmisuse", doneSite.op.node,
+			diags = append(diags, p.Diag("wgmisuse", doneSite.op.node,
 				"WaitGroup.Done can run without a matching Add on some path from the function entry; the counter would go negative and panic"))
 		}
 	}

@@ -32,7 +32,7 @@ func (Determinism) Doc() string {
 func (Determinism) Run(p *Package) []Diagnostic {
 	golden := false
 	for _, g := range GoldenPackages {
-		if pathHasSuffix(p.Path, g) {
+		if PathHasSuffix(p.Path, g) {
 			golden = true
 			break
 		}
@@ -42,7 +42,7 @@ func (Determinism) Run(p *Package) []Diagnostic {
 	}
 	var diags []Diagnostic
 	for _, f := range p.Files {
-		if isTestFile(p.Fset.Position(f.Pos())) {
+		if p.IsTestFile(f) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -54,17 +54,17 @@ func (Determinism) Run(p *Package) []Diagnostic {
 				}
 				switch pkg := FuncPkgPath(fn); {
 				case pkg == "time" && fn.Name() == "Now":
-					diags = append(diags, p.diag(Determinism{}.Name(), n,
+					diags = append(diags, p.Diag(Determinism{}.Name(), n,
 						"time.Now in golden-producing package %s makes output depend on the wall clock", p.Path))
 				case (pkg == "math/rand" || pkg == "math/rand/v2") && RecvNamed(fn) == nil &&
 					fn.Name() != "New" && fn.Name() != "NewSource" && fn.Name() != "NewPCG" && fn.Name() != "NewChaCha8":
-					diags = append(diags, p.diag(Determinism{}.Name(), n,
+					diags = append(diags, p.Diag(Determinism{}.Name(), n,
 						"global math/rand.%s draws from shared, effectively unseeded state; use rand.New(rand.NewSource(seed))", fn.Name()))
 				}
 			case *ast.RangeStmt:
 				if t := p.Info.TypeOf(n.X); t != nil {
 					if _, ok := t.Underlying().(*types.Map); ok {
-						diags = append(diags, p.diag(Determinism{}.Name(), n,
+						diags = append(diags, p.Diag(Determinism{}.Name(), n,
 							"map iteration order is randomized; golden output requires iterating sorted keys"))
 					}
 				}

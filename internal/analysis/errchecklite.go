@@ -44,7 +44,7 @@ func (ErrcheckLite) Run(p *Package) []Diagnostic {
 				if !ok || len(errorResultIndexes(p, call)) == 0 || errExempt(p, call) {
 					return true
 				}
-				diags = append(diags, p.diag(ErrcheckLite{}.Name(), n,
+				diags = append(diags, p.Diag(ErrcheckLite{}.Name(), n,
 					"error return of %s is dropped; handle it or assign it explicitly", calleeName(p, call)))
 			case *ast.AssignStmt:
 				if len(n.Rhs) != 1 {
@@ -59,7 +59,7 @@ func (ErrcheckLite) Run(p *Package) []Diagnostic {
 						continue
 					}
 					if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-						diags = append(diags, p.diag(ErrcheckLite{}.Name(), n.Lhs[i],
+						diags = append(diags, p.Diag(ErrcheckLite{}.Name(), n.Lhs[i],
 							"error return of %s is discarded into _; handle it", calleeName(p, call)))
 					}
 				}

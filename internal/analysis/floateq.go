@@ -36,12 +36,11 @@ func (FloatEq) Doc() string {
 func (FloatEq) Run(p *Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range p.Files {
-		pos := p.Fset.Position(f.Pos())
-		if isTestFile(pos) {
+		if p.IsTestFile(f) {
 			continue
 		}
-		if pathHasSuffix(strings.TrimSuffix(p.Path, "_test"), "internal/vmath") &&
-			filepath.Base(pos.Filename) == ulpHelperFile {
+		if PathHasSuffix(strings.TrimSuffix(p.Path, "_test"), "internal/vmath") &&
+			filepath.Base(p.Fset.Position(f.Pos()).Filename) == ulpHelperFile {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -56,7 +55,7 @@ func (FloatEq) Run(p *Package) []Diagnostic {
 			if x.Value != nil || y.Value != nil {
 				return true // constant comparison: exact by construction
 			}
-			diags = append(diags, p.diag(FloatEq{}.Name(), be,
+			diags = append(diags, p.Diag(FloatEq{}.Name(), be,
 				"floating-point %s between computed values; use vmath.UlpDiff or an explicit tolerance", be.Op))
 			return true
 		})

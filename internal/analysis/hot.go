@@ -27,7 +27,7 @@ var KernelPackages = []string{
 func IsKernelPackage(path string) bool {
 	path = strings.TrimSuffix(path, "_test")
 	for _, k := range KernelPackages {
-		if pathHasSuffix(path, k) {
+		if PathHasSuffix(path, k) {
 			return true
 		}
 	}
@@ -57,8 +57,9 @@ func funcMarker(doc *ast.CommentGroup) string {
 // no parallel-unsafe effect: no package-level writes, no sink calls
 // (os, wall clock, global rng, reflect/cgo), no channel/lock operations
 // and no goroutine spawns. Writes through caller-owned parameters are
-// allowed. The purity analyzers enforce the claim; `ookami-vet
-// -parsafe` records the certified set into a committed baseline.
+// allowed. The purity analyzers enforce the claim; the parsafe
+// firewall of `ookami-vet` records the certified set into a committed
+// baseline.
 func PureFuncDecl(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
 		return false
@@ -89,18 +90,9 @@ func HotFuncDecl(pkgPath string, fd *ast.FuncDecl) bool {
 // non-test files.
 func hotFuncDecls(p *Package) []*ast.FuncDecl {
 	var out []*ast.FuncDecl
-	for _, f := range p.Files {
-		if isTestFile(p.Fset.Position(f.Pos())) {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if HotFuncDecl(p.Path, fd) {
-				out = append(out, fd)
-			}
+	for _, fd := range p.FuncDecls() {
+		if HotFuncDecl(p.Path, fd) {
+			out = append(out, fd)
 		}
 	}
 	return out

@@ -83,16 +83,6 @@ func walkShallow(root ast.Node, fn func(n, parent ast.Node) bool) {
 	})
 }
 
-// isBuiltin reports whether a call invokes the named builtin.
-func isBuiltin(p *Package, call *ast.CallExpr, name string) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := p.Info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == name
-}
-
 // isConversion reports whether the call expression is a type conversion.
 func isConversion(p *Package, call *ast.CallExpr) bool {
 	tv, ok := p.Info.Types[call.Fun]
@@ -125,11 +115,11 @@ func (HotAlloc) Run(p *Package) []Diagnostic {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			switch {
-			case isBuiltin(p, n, "make"):
-				diags = append(diags, p.diag(HotAlloc{}.Name(), n,
+			case IsBuiltin(p, n, "make"):
+				diags = append(diags, p.Diag(HotAlloc{}.Name(), n,
 					"make inside a loop of hot function %s allocates every iteration; hoist it out and reuse the buffer", name))
-			case isBuiltin(p, n, "new"):
-				diags = append(diags, p.diag(HotAlloc{}.Name(), n,
+			case IsBuiltin(p, n, "new"):
+				diags = append(diags, p.Diag(HotAlloc{}.Name(), n,
 					"new inside a loop of hot function %s allocates every iteration; hoist it out", name))
 			}
 		case *ast.CompositeLit:
@@ -139,13 +129,13 @@ func (HotAlloc) Run(p *Package) []Diagnostic {
 			}
 			switch t.Underlying().(type) {
 			case *types.Slice, *types.Map:
-				diags = append(diags, p.diag(HotAlloc{}.Name(), n,
+				diags = append(diags, p.Diag(HotAlloc{}.Name(), n,
 					"%s literal inside a loop of hot function %s allocates its backing store every iteration; hoist it out",
 					litKind(t), name))
 			}
 			if u, ok := parent.(*ast.UnaryExpr); ok && u.Op == token.AND {
 				if _, isStructish := t.Underlying().(*types.Struct); isStructish {
-					diags = append(diags, p.diag(HotAlloc{}.Name(), u,
+					diags = append(diags, p.Diag(HotAlloc{}.Name(), u,
 						"&composite literal inside a loop of hot function %s may escape and allocate every iteration", name))
 				}
 			}
@@ -156,7 +146,7 @@ func (HotAlloc) Run(p *Package) []Diagnostic {
 			if _, ok := parent.(*ast.CallExpr); ok {
 				return
 			}
-			diags = append(diags, p.diag(HotAlloc{}.Name(), n,
+			diags = append(diags, p.Diag(HotAlloc{}.Name(), n,
 				"closure created and stored inside a loop of hot function %s escapes and allocates every iteration", name))
 		}
 	})
@@ -196,7 +186,7 @@ func (HotAppend) Run(p *Package) []Diagnostic {
 	var diags []Diagnostic
 	forEachCycleNode(p, func(fd *ast.FuncDecl, du *cfg.DefUse, n, _ ast.Node) {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !isBuiltin(p, call, "append") || len(call.Args) == 0 {
+		if !ok || !IsBuiltin(p, call, "append") || len(call.Args) == 0 {
 			return
 		}
 		target, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
@@ -211,7 +201,7 @@ func (HotAppend) Run(p *Package) []Diagnostic {
 		if verdict == "" {
 			return
 		}
-		diags = append(diags, p.diag(HotAppend{}.Name(), call,
+		diags = append(diags, p.Diag(HotAppend{}.Name(), call,
 			"append grows %s inside a loop of hot function %s but %s; preallocate (make(T, 0, n)) or reuse a buffer (x = x[:0])",
 			target.Name, FuncDisplayName(fd), verdict))
 	})
@@ -230,7 +220,7 @@ func appendTargetVerdict(p *Package, du *cfg.DefUse, obj types.Object) string {
 			return "" // unknown origin; assume the caller sized it
 		}
 		// Self-growth (x = append(x, ...)) is not a defining site.
-		if call, ok := ast.Unparen(d.Rhs).(*ast.CallExpr); ok && isBuiltin(p, call, "append") {
+		if call, ok := ast.Unparen(d.Rhs).(*ast.CallExpr); ok && IsBuiltin(p, call, "append") {
 			continue
 		}
 		real++
@@ -254,7 +244,7 @@ func defProvidesCapacity(p *Package, d cfg.Def) bool {
 	case *ast.Ident:
 		return rhs.Name != "nil" // copied from another variable: unknown, assume sized
 	case *ast.CallExpr:
-		if !isBuiltin(p, rhs, "make") {
+		if !IsBuiltin(p, rhs, "make") {
 			return true // produced by a call: unknown, assume sized
 		}
 		if len(rhs.Args) >= 3 {
@@ -299,7 +289,7 @@ func (HotDefer) Run(p *Package) []Diagnostic {
 	var diags []Diagnostic
 	forEachCycleNode(p, func(fd *ast.FuncDecl, _ *cfg.DefUse, n, _ ast.Node) {
 		if d, ok := n.(*ast.DeferStmt); ok {
-			diags = append(diags, p.diag(HotDefer{}.Name(), d,
+			diags = append(diags, p.Diag(HotDefer{}.Name(), d,
 				"defer inside a loop of hot function %s accumulates a record per iteration and runs only at return; restructure into a helper function",
 				FuncDisplayName(fd)))
 		}
@@ -345,7 +335,7 @@ func (HotIface) Run(p *Package) []Diagnostic {
 			callee := CalleeFunc(p, n)
 			if callee != nil {
 				if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-					diags = append(diags, p.diag(HotIface{}.Name(), n,
+					diags = append(diags, p.Diag(HotIface{}.Name(), n,
 						"interface method call %s in a loop of hot function %s dispatches dynamically; use the concrete type",
 						callee.Name(), name))
 				}
@@ -365,7 +355,7 @@ func (HotIface) Run(p *Package) []Diagnostic {
 					}
 				}
 			}
-			diags = append(diags, p.diag(HotIface{}.Name(), n,
+			diags = append(diags, p.Diag(HotIface{}.Name(), n,
 				"indirect call through a function value in a loop of hot function %s blocks inlining; take the concrete function or hoist the dispatch",
 				name))
 		case *ast.AssignStmt:
@@ -376,7 +366,7 @@ func (HotIface) Run(p *Package) []Diagnostic {
 				lt := p.Info.TypeOf(lhs)
 				rt := p.Info.TypeOf(n.Rhs[i])
 				if boxes(lt, rt) {
-					diags = append(diags, p.diag(HotIface{}.Name(), n.Rhs[i],
+					diags = append(diags, p.Diag(HotIface{}.Name(), n.Rhs[i],
 						"assignment boxes a concrete %s into interface %s in a loop of hot function %s; keep the concrete type in the loop",
 						rt, lt, name))
 				}
@@ -417,7 +407,7 @@ func boxedArgs(p *Package, call *ast.CallExpr, fnName string) []Diagnostic {
 	if boxed == 0 {
 		return nil
 	}
-	return []Diagnostic{p.diag(HotIface{}.Name(), call,
+	return []Diagnostic{p.Diag(HotIface{}.Name(), call,
 		"call boxes %d argument(s) into interface parameters in a loop of hot function %s; each boxing may allocate", boxed, fnName)}
 }
 
@@ -502,7 +492,7 @@ func isParallelRuntimeCall(p *Package, call *ast.CallExpr) bool {
 	if named == nil || named.Obj().Pkg() == nil {
 		return false
 	}
-	return pathHasSuffix(named.Obj().Pkg().Path(), "internal/omp")
+	return PathHasSuffix(named.Obj().Pkg().Path(), "internal/omp")
 }
 
 // capturedFloatAccums finds `x += expr` / `x = x + expr` style float
@@ -538,7 +528,7 @@ func capturedFloatAccums(p *Package, lit *ast.FuncLit, fnName string) []Diagnost
 		if obj.Pos() >= lit.Pos() && obj.Pos() < lit.End() {
 			return true // declared inside the closure: thread-private
 		}
-		diags = append(diags, p.diag(HotReduce{}.Name(), as,
+		diags = append(diags, p.Diag(HotReduce{}.Name(), as,
 			"float accumulation into captured %s from a parallel closure in hot function %s races and its order depends on goroutine scheduling; use the team's Reduce helpers",
 			id.Name, fnName))
 		return true

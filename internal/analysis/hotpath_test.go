@@ -288,7 +288,7 @@ func SumPrivate(t *omp.Team, xs []float64, parts []float64) {
 }
 `,
 	})
-	diags, err := Vet(root, []string{"./..."}, []Analyzer{HotReduce{}})
+	diags, err := Vet(newLoader(t, root), []string{"./..."}, []Analyzer{HotReduce{}})
 	if err != nil {
 		t.Fatal(err)
 	}

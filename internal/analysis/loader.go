@@ -46,6 +46,7 @@ type Loader struct {
 	std     types.ImporterFrom
 	cache   map[string]*types.Package
 	loading map[string]bool
+	units   map[string][]*Package // LoadDir results by directory
 }
 
 // NewLoader creates a loader for the module rooted at moduleRoot, reading
@@ -73,6 +74,7 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 		fset:       fset,
 		cache:      map[string]*types.Package{},
 		loading:    map[string]bool{},
+		units:      map[string][]*Package{},
 	}
 	l.std = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 	return l, nil
@@ -224,8 +226,12 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 	return l.ModulePath + "/" + filepath.ToSlash(rel), nil
 }
 
-// LoadDir loads every analyzable unit of one directory.
+// LoadDir loads every analyzable unit of one directory. Results are
+// memoized, so every gate sharing the loader sees one type-checked copy.
 func (l *Loader) LoadDir(dir string) ([]*Package, error) {
+	if units, ok := l.units[dir]; ok {
+		return units, nil
+	}
 	path, err := l.importPathFor(dir)
 	if err != nil {
 		return nil, err
@@ -269,6 +275,7 @@ func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 			Path: path + "_test", Fset: l.fset, Files: xtest, AllFiles: xtest, Types: pkg, Info: info,
 		})
 	}
+	l.units[dir] = units
 	return units, nil
 }
 

@@ -2,7 +2,7 @@ package purity
 
 // The four analyzers over the effect summaries. Each runs per package
 // unit; the cross-package closure of the same facts is enforced by the
-// -parsafe firewall (parsafe.go).
+// parsafe firewall (parsafe.go).
 
 import (
 	"ookami/internal/analysis"
@@ -20,14 +20,14 @@ func (Purity) Doc() string {
 func (Purity) Run(p *analysis.Package) []analysis.Diagnostic {
 	s := summarize(p)
 	var diags []analysis.Diagnostic
-	for _, fi := range s.funcs {
-		if !analysis.PureFuncDecl(fi.decl) {
+	for _, fi := range s.Funcs {
+		if !analysis.PureFuncDecl(fi.Decl) {
 			continue
 		}
 		for _, eff := range fi.impureEffects() {
-			diags = append(diags, diag(p, "purity", fi.decl.Name,
+			diags = append(diags, p.Diag("purity", fi.Decl.Name,
 				"%s is marked ookami:pure but %s: %s",
-				fi.name, eff.Kind, eff.Chain(p.Fset)))
+				fi.Name, eff.Kind, eff.Chain(p.Fset)))
 		}
 	}
 	return diags
@@ -45,14 +45,14 @@ func (GlobalMut) Doc() string {
 func (GlobalMut) Run(p *analysis.Package) []analysis.Diagnostic {
 	s := summarize(p)
 	var diags []analysis.Diagnostic
-	for _, fi := range s.funcs {
-		if !analysis.HotFuncDecl(p.Path, fi.decl) {
+	for _, fi := range s.Funcs {
+		if !analysis.HotFuncDecl(p.Path, fi.Decl) {
 			continue
 		}
 		for _, eff := range fi.selectEffects(func(k EffectKind) bool { return k == EffectGlobal }) {
-			diags = append(diags, diag(p, "globalmut",
-				fi.decl.Name, "hot function %s %s: %s — concurrent workers would race on it",
-				fi.name, eff.Kind, eff.Chain(p.Fset)))
+			diags = append(diags, p.Diag("globalmut",
+				fi.Decl.Name, "hot function %s %s: %s — concurrent workers would race on it",
+				fi.Name, eff.Kind, eff.Chain(p.Fset)))
 		}
 	}
 	return diags
@@ -71,14 +71,14 @@ func (HiddenInput) Doc() string {
 func (HiddenInput) Run(p *analysis.Package) []analysis.Diagnostic {
 	s := summarize(p)
 	var diags []analysis.Diagnostic
-	for _, fi := range s.funcs {
-		if !analysis.PureFuncDecl(fi.decl) {
+	for _, fi := range s.Funcs {
+		if !analysis.PureFuncDecl(fi.Decl) {
 			continue
 		}
 		for _, eff := range fi.hiddenInputEffects() {
-			diags = append(diags, diag(p, "hiddeninput",
-				fi.decl.Name, "certified entry point %s depends on a hidden input (%s): %s — memoized results would be wrong",
-				fi.name, eff.Kind, eff.Chain(p.Fset)))
+			diags = append(diags, p.Diag("hiddeninput",
+				fi.Decl.Name, "certified entry point %s depends on a hidden input (%s): %s — memoized results would be wrong",
+				fi.Name, eff.Kind, eff.Chain(p.Fset)))
 		}
 	}
 	return diags
@@ -96,10 +96,10 @@ func (RecvMut) Doc() string {
 func (RecvMut) Run(p *analysis.Package) []analysis.Diagnostic {
 	s := summarize(p)
 	var diags []analysis.Diagnostic
-	for _, fi := range s.funcs {
+	for _, fi := range s.Funcs {
 		for _, site := range fi.recvMuts {
-			diags = append(diags, diag(p, "recvmut", site.node,
-				"%s: %s — \"copy the receiver, it's safe\" does not hold", fi.name, site.detail))
+			diags = append(diags, p.Diag("recvmut", site.node,
+				"%s: %s — \"copy the receiver, it's safe\" does not hold", fi.Name, site.detail))
 		}
 	}
 	return diags

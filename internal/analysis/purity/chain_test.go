@@ -35,8 +35,8 @@ func leaf() float64 {
 	}
 	s := summarize(p)
 	var top *funcInfo
-	for _, fi := range s.funcs {
-		if fi.name == "Top" {
+	for _, fi := range s.Funcs {
+		if fi.Name == "Top" {
 			top = fi
 		}
 	}

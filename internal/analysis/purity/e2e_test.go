@@ -73,7 +73,7 @@ func (g Grid) Zero() {
 `,
 	})
 
-	diags, err := analysis.Vet(root, []string{"./..."}, Analyzers())
+	diags, err := analysis.Vet(newLoader(t, root), []string{"./..."}, Analyzers())
 	if err != nil {
 		t.Fatalf("vet: %v", err)
 	}

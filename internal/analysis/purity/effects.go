@@ -123,12 +123,12 @@ func (e Effect) Chain(fset *token.FileSet) string {
 	for _, f := range e.Path {
 		sb.WriteString(f.Func)
 		sb.WriteString(" (")
-		sb.WriteString(posString(fset, f.Pos))
+		sb.WriteString(analysis.ShortPos(fset, f.Pos))
 		sb.WriteString(") → ")
 	}
 	sb.WriteString(e.Detail)
 	sb.WriteString(" (")
-	sb.WriteString(posString(fset, e.Site))
+	sb.WriteString(analysis.ShortPos(fset, e.Site))
 	sb.WriteString(")")
 	return sb.String()
 }
@@ -200,17 +200,11 @@ func classifySinkCall(fn *types.Func) (kind EffectKind, detail string, ok bool) 
 		return EffectSink, "calls " + path + "." + name, true
 	}
 	for _, rp := range runtimePackages {
-		if pathHasSuffix(path, rp) {
+		if analysis.PathHasSuffix(path, rp) {
 			return EffectLock, "enters concurrency runtime " + rp + " via " + name, true
 		}
 	}
 	return 0, "", false
-}
-
-// pathHasSuffix matches "ookami/internal/omp" against "internal/omp"
-// (mirrors the unexported helper in internal/analysis).
-func pathHasSuffix(path, suffix string) bool {
-	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
 // lockMethod reports whether fn is a synchronization-primitive method.
@@ -229,16 +223,6 @@ func lockMethod(fn *types.Func) bool {
 		return analysis.IsMethodOn(fn, "sync", "Map", name)
 	}
 	return false
-}
-
-// isBuiltin reports whether the call invokes the named universe builtin.
-func isBuiltin(p *analysis.Package, call *ast.CallExpr, name string) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	_, isB := p.Info.Uses[id].(*types.Builtin)
-	return isB
 }
 
 // writeTarget describes where a written-to expression lands.

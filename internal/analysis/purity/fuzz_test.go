@@ -87,10 +87,10 @@ func Top() int { return mk()() }
 			t.Skip()
 		}
 		s := summarize(p)
-		for _, fi := range s.funcs {
+		for _, fi := range s.Funcs {
 			for _, eff := range fi.impureEffects() {
 				if eff.Chain(p.Fset) == "" {
-					t.Errorf("%s: empty chain for %s", fi.name, eff.Kind)
+					t.Errorf("%s: empty chain for %s", fi.Name, eff.Kind)
 				}
 			}
 			fi.hiddenInputEffects()

@@ -1,9 +1,10 @@
 package purity
 
 // The parallel-safety firewall. Mirroring the compilerdiag and
-// concsurface firewalls, `ookami-vet -parsafe` loads every package of
-// the certified surface under one loader, links their effect summaries
-// into a single cross-package call graph, closes it to a fixpoint, and
+// concsurface firewalls, the parsafe gate of `ookami-vet` takes every
+// package of the certified surface from the run's shared loader, links
+// their effect summaries into a single cross-package call graph, closes
+// it to a fixpoint, and
 // records each //ookami:pure entry point with its accepted effect set
 // into a committed baseline. A certified function gaining an impure or
 // hidden-input effect — or losing its marker — fails `make check` until
@@ -11,10 +12,7 @@ package purity
 // and result-cache PRs the ROADMAP plans can trust the certified set.
 
 import (
-	"encoding/json"
 	"fmt"
-	"go/types"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -86,79 +84,48 @@ type ParsafeBaseline struct {
 // links every package's effect summaries into one call graph, runs the
 // global fixpoint, and returns the certified entry points sorted by
 // (package, func).
-func CollectParsafe(moduleRoot string, pkgs []string) ([]CertifiedFunc, error) {
+func CollectParsafe(l *analysis.Loader, pkgs []string) ([]CertifiedFunc, error) {
 	if len(pkgs) == 0 {
 		pkgs = ParsafePackages
 	}
-	l, err := analysis.NewLoader(moduleRoot)
-	if err != nil {
-		return nil, err
-	}
-	type pkgSummary struct {
-		dir string
-		s   *summary
-	}
-	var sums []pkgSummary
+	var units []*analysis.Package
+	dirOf := map[*analysis.Package]string{}
 	for _, pkg := range pkgs {
-		dir := filepath.Join(moduleRoot, filepath.FromSlash(pkg))
-		units, err := l.LoadDir(dir)
+		loaded, err := l.LoadDir(filepath.Join(l.ModuleRoot, filepath.FromSlash(pkg)))
 		if err != nil {
 			return nil, fmt.Errorf("loading %s: %w", pkg, err)
 		}
-		for _, u := range units {
-			if strings.HasSuffix(u.Path, "_test") {
-				continue
-			}
-			sums = append(sums, pkgSummary{dir: pkg, s: newSummary(u)})
-		}
-	}
-	// Link every summarized declaration by symbol: types.Object identity
-	// does not survive separate check runs, funcKeys do.
-	link := linker{}
-	var all []*summary
-	for _, ps := range sums {
-		all = append(all, ps.s)
-		for obj, fi := range ps.s.byObj {
-			fn, ok := obj.(*types.Func)
-			if !ok {
-				continue
-			}
-			if _, dup := link[keyOf(fn)]; !dup {
-				link[keyOf(fn)] = fi
+		for _, u := range loaded {
+			if !strings.HasSuffix(u.Path, "_test") {
+				units = append(units, u)
+				dirOf[u] = pkg
 			}
 		}
 	}
-	closeAll(all, link)
+	s := summarizeUnits(units, true)
 
-	prefix := moduleRoot + string(filepath.Separator)
+	prefix := l.ModuleRoot + string(filepath.Separator)
 	var out []CertifiedFunc
-	for _, ps := range sums {
-		for _, fi := range ps.s.funcs {
-			if !analysis.PureFuncDecl(fi.decl) {
-				continue
-			}
-			pos := fi.p.Fset.Position(fi.decl.Pos())
-			cf := CertifiedFunc{
-				Package: ps.dir,
-				Func:    fi.name,
-				File:    filepath.ToSlash(strings.TrimPrefix(pos.Filename, prefix)),
-			}
-			var effs []*Effect
-			for _, e := range fi.effects {
-				effs = append(effs, e)
-			}
-			sortEffects(effs)
-			for _, e := range effs {
-				cf.Effects = append(cf.Effects, CertifiedEffect{
-					Kind:   e.Kind.String(),
-					Detail: e.Detail,
-					Chain:  e.Chain(fi.p.Fset),
-					Impure: e.Kind.Impure(),
-					Hidden: e.Kind.HiddenInput(),
-				})
-			}
-			out = append(out, cf)
+	for _, fi := range s.Funcs {
+		if !analysis.PureFuncDecl(fi.Decl) {
+			continue
 		}
+		pos := fi.Pkg.Fset.Position(fi.Decl.Pos())
+		cf := CertifiedFunc{
+			Package: dirOf[fi.Pkg],
+			Func:    fi.Name,
+			File:    filepath.ToSlash(strings.TrimPrefix(pos.Filename, prefix)),
+		}
+		for _, e := range fi.selectEffects(func(EffectKind) bool { return true }) {
+			cf.Effects = append(cf.Effects, CertifiedEffect{
+				Kind:   e.Kind.String(),
+				Detail: e.Detail,
+				Chain:  e.Chain(fi.Pkg.Fset),
+				Impure: e.Kind.Impure(),
+				Hidden: e.Kind.HiddenInput(),
+			})
+		}
+		out = append(out, cf)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Package != out[j].Package {
@@ -248,26 +215,4 @@ func DiffParsafe(base ParsafeBaseline, funcs []CertifiedFunc) (regressions, note
 	sort.Strings(regressions)
 	sort.Strings(notes)
 	return regressions, notes
-}
-
-// LoadParsafeBaseline reads a baseline file.
-func LoadParsafeBaseline(path string) (ParsafeBaseline, error) {
-	var base ParsafeBaseline
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return base, err
-	}
-	if err := json.Unmarshal(data, &base); err != nil {
-		return base, fmt.Errorf("parsing baseline %s: %v", path, err)
-	}
-	return base, nil
-}
-
-// SaveParsafeBaseline writes a baseline file with stable formatting.
-func SaveParsafeBaseline(path string, base ParsafeBaseline) error {
-	data, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -46,7 +46,7 @@ func Model(n int) float64 {
 
 func TestCollectParsafeLinksAcrossPackages(t *testing.T) {
 	root := parsafeModule(t)
-	funcs, err := CollectParsafe(root, []string{"internal/kern", "internal/simd"})
+	funcs, err := CollectParsafe(newLoader(t, root), []string{"internal/kern", "internal/simd"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,17 +70,17 @@ func TestCollectParsafeLinksAcrossPackages(t *testing.T) {
 func TestParsafeBaselineRoundTripAndDiff(t *testing.T) {
 	root := parsafeModule(t)
 	pkgs := []string{"internal/kern", "internal/simd"}
-	funcs, err := CollectParsafe(root, pkgs)
+	funcs, err := CollectParsafe(newLoader(t, root), pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	base := BuildParsafeBaseline(pkgs, funcs)
 	path := filepath.Join(root, "parsafe.json")
-	if err := SaveParsafeBaseline(path, base); err != nil {
+	if err := analysis.SaveJSON(path, base); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadParsafeBaseline(path)
+	loaded, err := analysis.LoadJSON[ParsafeBaseline](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func jitter() float64 {
 	return float64(time.Now().Nanosecond()%2) + 1
 }
 `)
-	funcs2, err := CollectParsafe(root, pkgs)
+	funcs2, err := CollectParsafe(newLoader(t, root), pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func Model(n int) float64 {
 	return float64(n) * 1.5
 }
 `)
-	funcs3, err := CollectParsafe(root, pkgs)
+	funcs3, err := CollectParsafe(newLoader(t, root), pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func Model(n int) float64 {
 func TestParsafeNewEntryPointIsANote(t *testing.T) {
 	root := parsafeModule(t)
 	pkgs := []string{"internal/kern", "internal/simd"}
-	funcs, err := CollectParsafe(root, pkgs)
+	funcs, err := CollectParsafe(newLoader(t, root), pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestRepoParsafeBaselineIsCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	funcs, err := CollectParsafe(root, nil)
+	funcs, err := CollectParsafe(newLoader(t, root), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestRepoParsafeBaselineIsCurrent(t *testing.T) {
 			}
 		}
 	}
-	base, err := LoadParsafeBaseline(filepath.Join(root, "internal", "analysis", "baseline", "parsafe.json"))
+	base, err := analysis.LoadJSON[ParsafeBaseline](filepath.Join(root, "internal", "analysis", "baseline", "parsafe.json"))
 	if err != nil {
 		t.Fatalf("loading committed baseline: %v", err)
 	}

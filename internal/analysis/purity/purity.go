@@ -34,22 +34,13 @@
 //
 // The per-package analyzers resolve calls inside the package unit;
 // module-internal cross-package calls are closed over by the
-// `ookami-vet -parsafe` firewall (parsafe.go), which loads the whole
-// certified surface under one loader and links summaries across
-// packages. Calls into the simulated concurrency runtimes
+// parsafe firewall of `ookami-vet` (parsafe.go), which links the
+// summaries of the whole certified surface across packages. Calls into the simulated concurrency runtimes
 // (internal/{omp,mpi,trace,bench}) are always impure. All analyzers
 // skip _test.go files.
 package purity
 
-import (
-	"fmt"
-	"go/ast"
-	"go/printer"
-	"go/token"
-	"strings"
-
-	"ookami/internal/analysis"
-)
+import "ookami/internal/analysis"
 
 // Analyzers returns the purity suite in stable order. cmd/ookami-vet
 // appends these to the core and concurrency suites.
@@ -60,38 +51,4 @@ func Analyzers() []analysis.Analyzer {
 		HiddenInput{},
 		RecvMut{},
 	}
-}
-
-// diag builds a Diagnostic at a node's position.
-func diag(p *analysis.Package, analyzer string, n ast.Node, format string, args ...any) analysis.Diagnostic {
-	return analysis.Diagnostic{
-		Analyzer: analyzer,
-		Pos:      p.Fset.Position(n.Pos()),
-		Message:  fmt.Sprintf(format, args...),
-	}
-}
-
-// isTestFile reports whether the node lives in a _test.go file.
-func isTestFile(p *analysis.Package, f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
-}
-
-// render prints an expression compactly for messages ("p.Costs", "y").
-func render(fset *token.FileSet, n ast.Node) string {
-	var sb strings.Builder
-	cfg := printer.Config{Mode: printer.RawFormat}
-	if err := cfg.Fprint(&sb, fset, n); err != nil {
-		return fmt.Sprintf("<%T>", n)
-	}
-	return strings.Join(strings.Fields(sb.String()), " ")
-}
-
-// posString renders a position as "base.go:line" for chain frames.
-func posString(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	name := p.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", name, p.Line)
 }

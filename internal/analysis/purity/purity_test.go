@@ -194,3 +194,62 @@ func (g Gen) At(i uint64) uint64 {
 `,
 	})
 }
+
+// TestPurityMethodExpressionPassesReceiver: a method expression
+// (*Buf).Put(x, v) passes x as the receiver, exactly like x.Put(v), so
+// a write through the receiver lands on x in both spellings.
+func TestPurityMethodExpressionPassesReceiver(t *testing.T) {
+	files := map[string]string{
+		"p.go": `package p
+
+type Buf struct{ xs []float64 }
+
+func (b *Buf) Put(v float64) { b.xs[0] = v }
+
+var g = &Buf{xs: make([]float64, 1)}
+
+//ookami:pure
+func ViaCall(v float64) { // want purity
+	g.Put(v)
+}
+
+//ookami:pure
+func ViaExpr(v float64) { // want purity
+	(*Buf).Put(g, v)
+}
+
+//ookami:pure
+func FillExpr(b *Buf, v float64) {
+	(*Buf).Put(b, v)
+}
+`,
+	}
+	diags := runFixture(t, "p", []analysis.Analyzer{Purity{}}, files)
+	for _, d := range diags {
+		if !strings.Contains(d.Message, "writes global g via Buf.Put") {
+			t.Errorf("want the global write through the receiver, got: %s", d.Message)
+		}
+	}
+
+	p, err := analysis.LoadSource("p", files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, fi := range summarize(p).Funcs {
+		if fi.Name != "FillExpr" {
+			continue
+		}
+		found = true
+		var got []string
+		for _, e := range fi.selectEffects(func(EffectKind) bool { return true }) {
+			got = append(got, e.Kind.String()+": "+e.Detail)
+		}
+		if want := "param-write: writes through parameter b via Buf.Put"; strings.Join(got, "\n") != want {
+			t.Errorf("FillExpr effects = %q, want [%q]", got, want)
+		}
+	}
+	if !found {
+		t.Fatal("FillExpr not summarized")
+	}
+}

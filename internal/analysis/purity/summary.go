@@ -1,20 +1,20 @@
 package purity
 
 // The per-function effect summaries and the fixpoint that closes them
-// over the call graph. Mirrors the shape of internal/analysis/conc's
-// summary: pass 1 registers declarations, pass 2 scans bodies for
-// direct effects and call sites, and close() iterates to a fixpoint,
-// extending each propagated effect's call chain so diagnostics can
-// print the exact entrypoint → callee → site path.
+// over the call graph, on the shared engine in internal/analysis
+// (callgraph.go): the engine registers declarations, the scan below
+// records each body's direct effects and call sites, and the engine's
+// fixpoint runs propagate over every resolved edge, extending each
+// propagated effect's call chain so diagnostics can print the exact
+// entrypoint → callee → site path.
 //
-// Calls resolve in two tiers: package-local declarations resolve by
-// types.Object identity; cross-package calls resolve through an
-// optional linker (the -parsafe firewall links every certified package
-// under one loader). Calls that stay unresolved after linking get a
-// conservative boundary treatment: sink-listed packages are impure,
-// pointer-receiver methods may write their receiver, and passing a
-// package-level variable with reference structure to an unsummarizable
-// callee counts as a potential global write.
+// Calls resolve inside the package unit by types.Object identity; the
+// parsafe firewall links every certified package by symbol as well.
+// Calls that stay unresolved get a conservative boundary treatment:
+// sink-listed packages are impure, pointer-receiver methods may write
+// their receiver, and passing a package-level variable with reference
+// structure to an unsummarizable callee counts as a potential global
+// write.
 
 import (
 	"go/ast"
@@ -23,51 +23,25 @@ import (
 	"strings"
 
 	"ookami/internal/analysis"
+	"ookami/internal/analysis/cfg"
 )
-
-// funcKey is the cross-package identity of a function: import path,
-// receiver type name (empty for plain functions), and name.
-type funcKey struct {
-	pkg, recv, name string
-}
-
-// keyOf builds the funcKey of a resolved callee.
-func keyOf(fn *types.Func) funcKey {
-	k := funcKey{pkg: analysis.FuncPkgPath(fn), name: fn.Name()}
-	if named := analysis.RecvNamed(fn); named != nil {
-		k.recv = named.Obj().Name()
-	}
-	return k
-}
-
-// callSite is one call to a resolvable function symbol.
-type callSite struct {
-	fn       *types.Func
-	call     *ast.CallExpr
-	recvBase types.Object   // base object of the receiver expression, if a method call
-	argBase  []types.Object // base object per positional argument
-}
 
 // funcInfo is the effect summary of one function declaration.
 type funcInfo struct {
-	decl *ast.FuncDecl
-	name string
-	p    *analysis.Package
+	analysis.Func
 	// paramObjs holds the receiver (if any) followed by the parameters,
-	// in signature order — the index space callSite arguments map into.
+	// in signature order — the index space call-site operands map into.
 	paramObjs []types.Object
 	recvObj   types.Object // receiver object, nil for plain functions
 	recvValue bool         // receiver is a non-pointer (value) receiver
-	// effects is the deduplicated effect set; close() grows it to the
-	// transitive closure.
+	// effects is the deduplicated effect set; the fixpoint grows it to
+	// the transitive closure.
 	effects map[effectKey]*Effect
 	// paramWrites maps a parameter/receiver object to the write-through
 	// effect on it, for argument-to-parameter propagation.
 	paramWrites map[types.Object]*Effect
 	// recvMuts are the value-receiver embedded-pointer mutation sites.
 	recvMuts []recvMutSite
-	// calls are resolved-symbol call sites (package-local or not).
-	calls []callSite
 }
 
 type recvMutSite struct {
@@ -88,59 +62,42 @@ func (fi *funcInfo) addEffect(e Effect) *Effect {
 	return &cp
 }
 
-// summary is the per-package-unit purity model.
-type summary struct {
-	p     *analysis.Package
-	funcs []*funcInfo
-	byObj map[types.Object]*funcInfo
-}
-
-// linker resolves cross-package callees to their summaries. The
-// per-package analyzers use a nil linker; -parsafe links all certified
-// packages together.
-type linker map[funcKey]*funcInfo
+// summary is the effect model of one or more package units.
+type summary = analysis.Graph[*funcInfo]
 
 // summarize builds the summary for one package unit, scanning only
 // non-test files, and closes it package-locally.
 func summarize(p *analysis.Package) *summary {
-	s := newSummary(p)
-	s.close(nil)
-	return s
+	return summarizeUnits([]*analysis.Package{p}, false)
 }
 
-// newSummary scans the unit without closing, so a multi-package caller
-// can link summaries before running one global fixpoint.
-func newSummary(p *analysis.Package) *summary {
-	s := &summary{p: p, byObj: map[types.Object]*funcInfo{}}
-	for _, f := range p.Files {
-		if isTestFile(p, f) {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fi := &funcInfo{decl: fd, name: analysis.FuncDisplayName(fd), p: p}
-			s.funcs = append(s.funcs, fi)
-			if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-				s.byObj[obj] = fi
-			}
-		}
+// summarizeUnits scans the units' declarations and closes their effects
+// over one call graph. With link, calls resolve across the units by
+// symbol (the parsafe firewall); without it, only inside each unit.
+// Calls that stay unresolved get the conservative boundary treatment
+// before the fixpoint runs.
+func summarizeUnits(units []*analysis.Package, link bool) *summary {
+	s := analysis.NewGraph(units, func(f analysis.Func) *funcInfo { return &funcInfo{Func: f} })
+	for _, fi := range s.Funcs {
+		fi.scan()
 	}
-	for _, fi := range s.funcs {
-		s.scanFunc(fi)
+	if link {
+		s.Link()
 	}
+	for _, fi := range s.Funcs {
+		fi.boundaryEffects(s)
+	}
+	s.Fixpoint(propagate)
 	return s
 }
 
 // bindParams fills paramObjs/recvObj from the declaration.
-func (s *summary) bindParams(fi *funcInfo) {
-	fd := fi.decl
+func (fi *funcInfo) bindParams() {
+	fd, defs := fi.Decl, fi.Pkg.Info.Defs
 	if fd.Recv != nil && len(fd.Recv.List) == 1 {
 		f := fd.Recv.List[0]
 		if len(f.Names) == 1 {
-			if obj := s.p.Info.Defs[f.Names[0]]; obj != nil {
+			if obj := defs[f.Names[0]]; obj != nil {
 				fi.recvObj = obj
 				fi.paramObjs = append(fi.paramObjs, obj)
 				_, isPtr := obj.Type().Underlying().(*types.Pointer)
@@ -157,7 +114,7 @@ func (s *summary) bindParams(fi *funcInfo) {
 				continue
 			}
 			for _, n := range f.Names {
-				fi.paramObjs = append(fi.paramObjs, s.p.Info.Defs[n])
+				fi.paramObjs = append(fi.paramObjs, defs[n])
 			}
 		}
 	}
@@ -176,25 +133,25 @@ func (fi *funcInfo) isParam(obj types.Object) bool {
 	return false
 }
 
-// scanFunc walks one declaration body (nested function literals
-// included — a closure created here either runs here or is handed out,
-// and either way its effects are this function's responsibility).
-func (s *summary) scanFunc(fi *funcInfo) {
-	p := s.p
-	s.bindParams(fi)
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+// scan walks the declaration body (nested function literals included —
+// a closure created here either runs here or is handed out, and either
+// way its effects are this function's responsibility).
+func (fi *funcInfo) scan() {
+	p := fi.Pkg
+	fi.bindParams()
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
 					continue
 				}
-				s.addWrite(fi, lhs)
+				fi.addWrite(lhs)
 			}
 		case *ast.IncDecStmt:
-			s.addWrite(fi, n.X)
+			fi.addWrite(n.X)
 		case *ast.SendStmt:
-			fi.addEffect(Effect{Kind: EffectChan, Detail: "sends on channel " + render(p.Fset, n.Chan), Site: n.Pos()})
+			fi.addEffect(Effect{Kind: EffectChan, Detail: "sends on channel " + cfg.Render(p.Fset, n.Chan), Site: n.Pos()})
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
 				fi.addEffect(Effect{Kind: EffectChan, Detail: "receives from channel", Site: n.Pos()})
@@ -207,36 +164,36 @@ func (s *summary) scanFunc(fi *funcInfo) {
 				case *types.Chan:
 					fi.addEffect(Effect{Kind: EffectChan, Detail: "receives from channel", Site: n.Pos()})
 				case *types.Map:
-					fi.addEffect(Effect{Kind: EffectMapOrder, Detail: "ranges over map " + render(p.Fset, n.X), Site: n.Pos()})
+					fi.addEffect(Effect{Kind: EffectMapOrder, Detail: "ranges over map " + cfg.Render(p.Fset, n.X), Site: n.Pos()})
 				}
 			}
 		case *ast.CallExpr:
-			s.scanCall(fi, n)
+			fi.scanCall(n)
 		}
 		return true
 	})
 }
 
 // scanCall classifies one call expression.
-func (s *summary) scanCall(fi *funcInfo, call *ast.CallExpr) {
-	p := s.p
+func (fi *funcInfo) scanCall(call *ast.CallExpr) {
+	p := fi.Pkg
 	// Builtins with write/effect semantics.
 	switch {
-	case isBuiltin(p, call, "close"):
+	case analysis.IsBuiltin(p, call, "close"):
 		fi.addEffect(Effect{Kind: EffectChan, Detail: "closes channel", Site: call.Pos()})
 		return
-	case isBuiltin(p, call, "copy"), isBuiltin(p, call, "delete"), isBuiltin(p, call, "clear"):
+	case analysis.IsBuiltin(p, call, "copy"), analysis.IsBuiltin(p, call, "delete"), analysis.IsBuiltin(p, call, "clear"):
 		if len(call.Args) > 0 {
-			s.addWrite(fi, call.Args[0])
+			fi.addWrite(call.Args[0])
 		}
 		return
-	case isBuiltin(p, call, "print"), isBuiltin(p, call, "println"):
+	case analysis.IsBuiltin(p, call, "print"), analysis.IsBuiltin(p, call, "println"):
 		fi.addEffect(Effect{Kind: EffectSink, Detail: "writes stderr via builtin print", Site: call.Pos()})
 		return
 	}
 
-	fn := analysis.CalleeFunc(p, call)
-	if fn == nil {
+	cs, ok := analysis.SiteOf(p, call)
+	if !ok {
 		// Not a named function: a conversion, a func literal invoked in
 		// place (its body is scanned anyway), a call through a
 		// function-typed parameter (purity is conditional on the
@@ -254,7 +211,7 @@ func (s *summary) scanCall(fi *funcInfo, call *ast.CallExpr) {
 		}
 		if base.obj != nil && isPackageLevel(base.obj) {
 			fi.addEffect(Effect{Kind: EffectDynCall,
-				Detail: "calls through package-level function value " + render(p.Fset, fun), Site: call.Pos()})
+				Detail: "calls through package-level function value " + cfg.Render(p.Fset, fun), Site: call.Pos()})
 			return
 		}
 		// Local function variables: their possible bodies (literals in
@@ -262,9 +219,10 @@ func (s *summary) scanCall(fi *funcInfo, call *ast.CallExpr) {
 		if base.obj != nil {
 			return
 		}
-		fi.addEffect(Effect{Kind: EffectDynCall, Detail: "calls through function value " + render(p.Fset, fun), Site: call.Pos()})
+		fi.addEffect(Effect{Kind: EffectDynCall, Detail: "calls through function value " + cfg.Render(p.Fset, fun), Site: call.Pos()})
 		return
 	}
+	fn := cs.Fn
 
 	// Interface method: unresolvable target. error.Error and String()
 	// are conventionally pure accessors; everything else is a dynamic
@@ -289,41 +247,31 @@ func (s *summary) scanCall(fi *funcInfo, call *ast.CallExpr) {
 		if strings.HasPrefix(fn.Name(), "Load") {
 			return
 		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && analysis.RecvNamed(fn) != nil {
-			if base := resolveWrite(p, sel.X).obj; base != nil {
-				s.mapWrite(fi, base, fn, call.Pos())
+		if cs.Recv != nil {
+			if base := resolveWrite(p, cs.Recv).obj; base != nil {
+				fi.mapWrite(base, fn, call.Pos())
 			}
 			return
 		}
 		if len(call.Args) > 0 {
-			s.addWrite(fi, call.Args[0])
+			fi.addWrite(call.Args[0])
 		}
 		return
 	}
 	if lockMethod(fn) {
 		detail := "lock/sync op ." + fn.Name()
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			detail = "lock/sync op " + render(p.Fset, sel.X) + "." + fn.Name()
+		if cs.Recv != nil {
+			detail = "lock/sync op " + cfg.Render(p.Fset, cs.Recv) + "." + fn.Name()
 		}
 		fi.addEffect(Effect{Kind: EffectLock, Detail: detail, Site: call.Pos()})
 		return
 	}
-
-	cs := callSite{fn: fn, call: call}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			cs.recvBase = resolveWrite(p, sel.X).obj
-		}
-	}
-	for _, arg := range call.Args {
-		cs.argBase = append(cs.argBase, resolveWrite(p, arg).obj)
-	}
-	fi.calls = append(fi.calls, cs)
+	fi.Calls = append(fi.Calls, cs)
 }
 
 // addWrite classifies a write to expression e.
-func (s *summary) addWrite(fi *funcInfo, e ast.Expr) {
-	p := s.p
+func (fi *funcInfo) addWrite(e ast.Expr) {
+	p := fi.Pkg
 	wt := resolveWrite(p, e)
 	if wt.obj == nil {
 		return
@@ -333,57 +281,49 @@ func (s *summary) addWrite(fi *funcInfo, e ast.Expr) {
 		fi.addEffect(Effect{Kind: EffectGlobal,
 			Detail: "writes global " + globalName(p.Types, wt.obj), Site: e.Pos()})
 	case fi.isParam(wt.obj) && wt.crossed:
-		eff := fi.addEffect(Effect{Kind: EffectParam,
+		fi.addParamWrite(wt.obj, Effect{Kind: EffectParam,
 			Detail: "writes through parameter " + wt.obj.Name(), Site: e.Pos()})
-		if fi.paramWrites == nil {
-			fi.paramWrites = map[types.Object]*Effect{}
-		}
-		if _, ok := fi.paramWrites[wt.obj]; !ok {
-			fi.paramWrites[wt.obj] = eff
-		}
 		if wt.obj == fi.recvObj && fi.recvValue && wt.fieldCrossed {
 			fi.recvMuts = append(fi.recvMuts, recvMutSite{node: e,
-				detail: "value receiver " + wt.obj.Name() + " mutates shared state through " + render(p.Fset, e)})
+				detail: "value receiver " + wt.obj.Name() + " mutates shared state through " + cfg.Render(p.Fset, e)})
 		}
 	}
 }
 
-// resolveCallee finds the summary of a call's target: package-local by
-// object identity, then cross-package through the linker.
-func (s *summary) resolveCallee(link linker, cs callSite) *funcInfo {
-	if fi, ok := s.byObj[cs.fn]; ok {
-		return fi
+// addParamWrite records a write through parameter obj, remembering the
+// first such effect per parameter for argument-to-parameter mapping.
+func (fi *funcInfo) addParamWrite(obj types.Object, e Effect) {
+	eff := fi.addEffect(e)
+	if fi.paramWrites == nil {
+		fi.paramWrites = map[types.Object]*Effect{}
 	}
-	if link != nil {
-		if fi, ok := link[keyOf(cs.fn)]; ok {
-			return fi
-		}
+	if _, ok := fi.paramWrites[obj]; !ok {
+		fi.paramWrites[obj] = eff
 	}
-	return nil
 }
 
 // boundaryEffects applies the conservative treatment of calls that stay
-// unresolved after linking: a pointer-receiver method may write through
-// its receiver, and handing a package-level variable with reference
+// unresolved in s: a pointer-receiver method may write through its
+// receiver, and handing a package-level variable with reference
 // structure to an unsummarizable callee is a potential global write.
-func (s *summary) boundaryEffects(link linker) {
-	for _, fi := range s.funcs {
-		for _, cs := range fi.calls {
-			if s.resolveCallee(link, cs) != nil {
-				continue
-			}
-			sig, _ := cs.fn.Type().(*types.Signature)
-			if sig != nil && sig.Recv() != nil && cs.recvBase != nil {
-				if _, isPtr := sig.Recv().Type().Underlying().(*types.Pointer); isPtr {
-					s.mapWrite(fi, cs.recvBase, cs.fn, cs.call.Pos())
+func (fi *funcInfo) boundaryEffects(s *summary) {
+	p := fi.Pkg
+	for _, cs := range fi.Calls {
+		if _, ok := s.Lookup(cs.Fn); ok {
+			continue
+		}
+		if recv := cs.Fn.Type().(*types.Signature).Recv(); recv != nil && cs.Recv != nil {
+			if _, isPtr := recv.Type().Underlying().(*types.Pointer); isPtr {
+				if base := resolveWrite(p, cs.Recv).obj; base != nil {
+					fi.mapWrite(base, cs.Fn, cs.Call.Pos())
 				}
 			}
-			for _, base := range cs.argBase {
-				if base != nil && isPackageLevel(base) && refLike(base.Type()) {
-					fi.addEffect(Effect{Kind: EffectGlobal,
-						Detail: "passes global " + globalName(s.p.Types, base) +
-							" to unsummarizable call " + calleeName(cs.fn), Site: cs.call.Pos()})
-				}
+		}
+		for _, arg := range cs.Args {
+			if base := resolveWrite(p, arg).obj; base != nil && isPackageLevel(base) && refLike(base.Type()) {
+				fi.addEffect(Effect{Kind: EffectGlobal,
+					Detail: "passes global " + globalName(p.Types, base) +
+						" to unsummarizable call " + calleeName(cs.Fn), Site: cs.Call.Pos()})
 			}
 		}
 	}
@@ -391,20 +331,14 @@ func (s *summary) boundaryEffects(link linker) {
 
 // mapWrite records that callee fn may write through base (a receiver or
 // argument of a call in fi).
-func (s *summary) mapWrite(fi *funcInfo, base types.Object, fn *types.Func, pos token.Pos) {
+func (fi *funcInfo) mapWrite(base types.Object, fn *types.Func, pos token.Pos) {
 	switch {
 	case isPackageLevel(base):
 		fi.addEffect(Effect{Kind: EffectGlobal,
-			Detail: "writes global " + globalName(s.p.Types, base) + " via " + calleeName(fn), Site: pos})
+			Detail: "writes global " + globalName(fi.Pkg.Types, base) + " via " + calleeName(fn), Site: pos})
 	case fi.isParam(base):
-		eff := fi.addEffect(Effect{Kind: EffectParam,
+		fi.addParamWrite(base, Effect{Kind: EffectParam,
 			Detail: "writes through parameter " + base.Name() + " via " + calleeName(fn), Site: pos})
-		if fi.paramWrites == nil {
-			fi.paramWrites = map[types.Object]*Effect{}
-		}
-		if _, ok := fi.paramWrites[base]; !ok {
-			fi.paramWrites[base] = eff
-		}
 	}
 }
 
@@ -419,41 +353,12 @@ func calleeName(fn *types.Func) string {
 	return fn.Name()
 }
 
-// close computes the transitive effect closure over the (linked) call
-// graph. Chains extend by one frame per propagation step; effects
-// deduplicate on (kind, detail), so the fixpoint terminates.
-func (s *summary) close(link linker) {
-	closeAll([]*summary{s}, link)
-}
-
-// closeAll runs boundary effects and one global fixpoint over several
-// summaries at once (the -parsafe multi-package mode).
-func closeAll(sums []*summary, link linker) {
-	for _, s := range sums {
-		s.boundaryEffects(link)
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, s := range sums {
-			for _, fi := range s.funcs {
-				for _, cs := range fi.calls {
-					callee := s.resolveCallee(link, cs)
-					if callee == nil || callee == fi {
-						continue
-					}
-					if propagate(s, fi, cs, callee) {
-						changed = true
-					}
-				}
-			}
-		}
-	}
-}
-
-// propagate copies callee effects into the caller through one call
-// site, mapping parameter writes through the actual arguments. Returns
-// whether anything new was recorded.
-func propagate(s *summary, fi *funcInfo, cs callSite, callee *funcInfo) bool {
+// propagate is the fixpoint's transfer function: it copies callee
+// effects into the caller through one call site, mapping parameter
+// writes through the call's operands. Chains extend by one frame per
+// step; effects deduplicate on (kind, detail), so the fixpoint
+// terminates. Returns whether anything new was recorded.
+func propagate(fi *funcInfo, cs analysis.CallSite, callee *funcInfo) bool {
 	before := len(fi.effects)
 
 	// Non-parameter effects travel unconditionally, chain extended.
@@ -464,17 +369,17 @@ func propagate(s *summary, fi *funcInfo, cs callSite, callee *funcInfo) bool {
 		if _, ok := fi.effects[eff.key()]; ok {
 			continue
 		}
-		path := append([]Frame{{Func: callee.name, Pos: cs.call.Pos()}}, eff.Path...)
+		path := append([]Frame{{Func: callee.Name, Pos: cs.Call.Pos()}}, eff.Path...)
 		fi.addEffect(Effect{Kind: eff.Kind, Detail: eff.Detail, Site: eff.Site, Path: path})
 	}
 
-	// Parameter writes map through the argument list: writing through a
+	// Parameter writes map through the operands: writing through a
 	// parameter the caller fed a global mutates the global; fed one of
 	// the caller's own parameters, the effect stays a parameter write.
 	if len(callee.paramWrites) > 0 {
-		bases := cs.argBase
-		if callee.decl.Recv != nil && len(callee.decl.Recv.List) > 0 {
-			bases = append([]types.Object{cs.recvBase}, cs.argBase...)
+		operands := cs.Args
+		if callee.Decl.Recv != nil && len(callee.Decl.Recv.List) > 0 {
+			operands = append([]ast.Expr{cs.Recv}, cs.Args...)
 		}
 		for i, pobj := range callee.paramObjs {
 			if pobj == nil {
@@ -483,14 +388,13 @@ func propagate(s *summary, fi *funcInfo, cs callSite, callee *funcInfo) bool {
 			if _, writes := callee.paramWrites[pobj]; !writes {
 				continue
 			}
-			j := i
-			if j >= len(bases) {
-				j = len(bases) - 1 // variadic tail
-			}
-			if j < 0 || bases[j] == nil {
+			j := min(i, len(operands)-1) // variadic tail
+			if j < 0 || operands[j] == nil {
 				continue
 			}
-			s.mapWrite(fi, bases[j], cs.fn, cs.call.Pos())
+			if base := resolveWrite(fi.Pkg, operands[j]).obj; base != nil {
+				fi.mapWrite(base, cs.Fn, cs.Call.Pos())
+			}
 		}
 	}
 	return len(fi.effects) != before

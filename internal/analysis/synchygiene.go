@@ -33,9 +33,9 @@ func (SyncHygiene) Doc() string {
 // Run implements Analyzer.
 func (SyncHygiene) Run(p *Package) []Diagnostic {
 	var diags []Diagnostic
-	mpi := pathHasSuffix(p.Path, mpiPackage)
+	mpi := PathHasSuffix(p.Path, mpiPackage)
 	for _, f := range p.Files {
-		testFile := isTestFile(p.Fset.Position(f.Pos()))
+		testFile := p.IsTestFile(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
@@ -43,7 +43,7 @@ func (SyncHygiene) Run(p *Package) []Diagnostic {
 					ast.Inspect(lit.Body, func(inner ast.Node) bool {
 						call, ok := inner.(*ast.CallExpr)
 						if ok && IsMethodOn(CalleeFunc(p, call), "sync", "WaitGroup", "Add") {
-							diags = append(diags, p.diag(SyncHygiene{}.Name(), call,
+							diags = append(diags, p.Diag(SyncHygiene{}.Name(), call,
 								"wg.Add inside the spawned goroutine races wg.Wait; Add before the go statement"))
 						}
 						return true
@@ -52,7 +52,7 @@ func (SyncHygiene) Run(p *Package) []Diagnostic {
 			case *ast.ExprStmt:
 				if call, ok := n.X.(*ast.CallExpr); ok {
 					if IsMethodOn(CalleeFunc(p, call), "sync", "WaitGroup", "Done") {
-						diags = append(diags, p.diag(SyncHygiene{}.Name(), call,
+						diags = append(diags, p.Diag(SyncHygiene{}.Name(), call,
 							"wg.Done should be deferred so a panic cannot deadlock wg.Wait"))
 					}
 				}
@@ -63,7 +63,7 @@ func (SyncHygiene) Run(p *Package) []Diagnostic {
 				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "make" && len(n.Args) == 1 {
 					if t := p.Info.TypeOf(n.Args[0]); t != nil {
 						if _, ok := t.Underlying().(*types.Chan); ok {
-							diags = append(diags, p.diag(SyncHygiene{}.Name(), n,
+							diags = append(diags, p.Diag(SyncHygiene{}.Name(), n,
 								"unbuffered channel in the MPI runtime: collectives rely on buffered sends to stay deadlock-free"))
 						}
 					}

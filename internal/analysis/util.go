@@ -19,6 +19,16 @@ func CalleeFunc(p *Package, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
+// IsBuiltin reports whether the call invokes the named universe builtin.
+func IsBuiltin(p *Package, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, isB := p.Info.Uses[id].(*types.Builtin)
+	return isB
+}
+
 // FuncPkgPath returns the import path of the package declaring f
 // (empty for builtins like error.Error).
 func FuncPkgPath(f *types.Func) string {

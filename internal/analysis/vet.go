@@ -9,19 +9,16 @@ import (
 	"strings"
 )
 
-// Vet loads every package matched by patterns under moduleRoot, runs the
-// analyzers over each unit, and returns the surviving findings sorted by
-// position. Patterns follow the go tool's shape: "./..." (everything),
-// "./dir/..." (a subtree), or "./dir" (one package directory). File
-// positions are reported relative to moduleRoot.
-func Vet(moduleRoot string, patterns []string, analyzers []Analyzer) ([]Diagnostic, error) {
+// Vet loads every package matched by patterns under the loader's module
+// root, runs the analyzers over each unit, and returns the surviving
+// findings sorted by position. Patterns follow the go tool's shape:
+// "./..." (everything), "./dir/..." (a subtree), or "./dir" (one package
+// directory). File positions are reported relative to the module root.
+func Vet(l *Loader, patterns []string, analyzers []Analyzer) ([]Diagnostic, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	l, err := NewLoader(moduleRoot)
-	if err != nil {
-		return nil, err
-	}
+	moduleRoot := l.ModuleRoot
 	dirs, err := resolvePatterns(moduleRoot, patterns)
 	if err != nil {
 		return nil, err

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// newLoader builds a fresh loader over the module at root.
+func newLoader(t *testing.T, root string) *Loader {
+	t.Helper()
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // writeTree materializes a file tree under a temp dir.
 func writeTree(t *testing.T, files map[string]string) string {
 	t.Helper()
@@ -58,7 +68,7 @@ func Add(a, b int) int { return a + b }
 // exact file:line:col findings, the way cmd/ookami-vet invokes it.
 func TestVetEndToEnd(t *testing.T) {
 	root := writeTree(t, vetModule)
-	diags, err := Vet(root, []string{"./..."}, All())
+	diags, err := Vet(newLoader(t, root), []string{"./..."}, All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +91,14 @@ func TestVetEndToEnd(t *testing.T) {
 // TestVetPatternScoping checks ./dir/... narrows the run.
 func TestVetPatternScoping(t *testing.T) {
 	root := writeTree(t, vetModule)
-	diags, err := Vet(root, []string{"./cmd/..."}, All())
+	diags, err := Vet(newLoader(t, root), []string{"./cmd/..."}, All())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diags) != 1 || diags[0].Analyzer != "errcheck-lite" {
 		t.Fatalf("scoped run returned %v", diags)
 	}
-	if _, err := Vet(root, []string{"./no/such/dir"}, All()); err == nil {
+	if _, err := Vet(newLoader(t, root), []string{"./no/such/dir"}, All()); err == nil {
 		t.Error("missing directory should error")
 	}
 }
@@ -96,7 +106,7 @@ func TestVetPatternScoping(t *testing.T) {
 // TestVetCleanModuleExitsQuiet ensures a clean tree yields no findings.
 func TestVetCleanModuleExitsQuiet(t *testing.T) {
 	root := writeTree(t, vetModule)
-	diags, err := Vet(root, []string{"./internal/clean"}, All())
+	diags, err := Vet(newLoader(t, root), []string{"./internal/clean"}, All())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ type Cert struct {
 
 // Dispatch is the engine's dispatch table: every model query the engine
 // is willing to memoize, mapped to the certified-pure function that
-// computes it. The parsafe firewall (cmd/ookami-vet -parsafe, baseline
+// computes it. The parsafe firewall (cmd/ookami-vet, baseline
 // internal/analysis/baseline/parsafe.json) is the source of truth;
 // TestDispatchCertified cross-checks each entry against the recorded
 // baseline so a query can only be added here after the purity analysis
