@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet baselines check fuzz-cfg fuzz-purity fuzz-sched bench benchgate benchrecord gobench figures smoke
+.PHONY: build test race vet baselines check fuzz-cfg fuzz-purity fuzz-sched fuzz-report bench benchgate benchrecord gobench figures smoke
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,14 @@ fuzz-purity:
 fuzz-sched:
 	$(GO) test ./internal/perfmodel -run '^$$' -fuzz=FuzzScheduleEquivalence -fuzztime=30s
 
+# Short fuzz pass over the bench report loader: any file must load as a
+# schema-1 report or fail with a typed error, and a loaded report must
+# compare against itself and render without panicking. Minimization is
+# capped because the default (up to 60 s per new input, on a corpus
+# seeded with the 18 KB baseline) would take the whole run.
+fuzz-report:
+	$(GO) test ./internal/bench -run '^$$' -fuzz=FuzzLoadReport -fuzztime=30s -fuzzminimizetime=100x
+
 # Run the registered workloads through the orchestrator and store
 # BENCH_ookami.json (warmup + repeats, CoV interference gate, bootstrap
 # CIs; see docs/BENCHMARKS.md).
@@ -79,11 +87,8 @@ benchrecord:
 #     with byte-identical responses (see docs/SERVE.md);
 #   - bench: every ookami-bench subcommand. The registry listing; two
 #     cheap workloads gated against the committed baseline with a loose
-#     3x threshold — order-of-magnitude breakage, not drift; a record
-#     into a scratch baseline file; then a second run into the same
-#     history, the history listing and the trend analysis (two runs is
-#     below the default -min-points, so it reports "insufficient
-#     history" and exits 0). See docs/BENCHMARKS.md.
+#     3x threshold — order-of-magnitude breakage, not drift; and a
+#     record into a scratch baseline file. See docs/BENCHMARKS.md.
 smoke:
 	$(GO) run ./cmd/npbrun -bench EP -class S -threads 4 -model=false -trace trace_ep.json
 	$(GO) run ./cmd/ookami-trace summary trace_ep.json
@@ -92,17 +97,12 @@ smoke:
 	$(GO) run ./cmd/ookami-serve smoke
 	$(GO) build -o ookami-bench.smoke ./cmd/ookami-bench
 	./ookami-bench.smoke list > /dev/null
-	./ookami-bench.smoke run -repeats 3 -filter 'loops/simple|vmath/exp' \
-		-history bench_history_smoke -commit smoke1 -q
+	./ookami-bench.smoke run -repeats 3 -filter 'loops/simple|vmath/exp' -q
 	./ookami-bench.smoke compare -baseline internal/bench/baseline/BENCH_ookami.json \
 		-threshold 3.0 -noise-mult 6
 	./ookami-bench.smoke record -update-baseline -baseline BENCH_record_smoke.json \
 		-repeats 3 -filter '^loops/simple$$' -q
-	./ookami-bench.smoke run -repeats 3 -filter 'loops/simple|vmath/exp' \
-		-out BENCH_hist_smoke.json -history bench_history_smoke -commit smoke2 -q
-	./ookami-bench.smoke history -dir bench_history_smoke
-	./ookami-bench.smoke trend -dir bench_history_smoke -threshold 3.0 -noise-mult 6
-	rm -f ookami-bench.smoke BENCH_hist_smoke.json BENCH_record_smoke.json
+	rm -f ookami-bench.smoke BENCH_record_smoke.json
 
 # The raw `go test -bench` harness (figures/tables + kernel wall-clock).
 gobench:

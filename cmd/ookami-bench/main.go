@@ -9,25 +9,19 @@
 //
 //	ookami-bench list
 //	ookami-bench run [-filter regex] [-repeats n] [-warmup n] [-timeout d]
-//	                 [-cov f] [-retries n]
-//	                 [-history dir] [-commit id] [-out file] [-trace file]
+//	                 [-cov f] [-retries n] [-out file] [-trace file]
 //	                 [-json] [-q]
 //	ookami-bench compare [-baseline file] [-current file]
 //	                     [-threshold f] [-noise-mult f]
 //	ookami-bench record -update-baseline [run flags]
-//	ookami-bench history [-dir d] [-last n] [-json]
-//	ookami-bench trend [-dir d] [-last n] [-filter regex]
-//	                   [-threshold f] [-noise-mult f] [-min-points n] [-json]
 //
 // `run` measures the workloads one after another in this process
 // (co-running workloads would time each other), writes
 // BENCH_ookami.json (override with -out) and exits nonzero if any
-// workload hard-fails (setup error, panic, timeout); with -history it
-// also appends the report to the result history. `compare` exits nonzero when any workload regresses.
+// workload hard-fails (setup error, panic, timeout). `compare` exits
+// nonzero when any workload regresses.
 // `record` re-runs everything and rewrites the committed baseline under
 // internal/bench/baseline/; the diff is part of the PR under review.
-// `history` lists the stored runs; `trend` analyzes them for drift and
-// exits nonzero when any workload drifted.
 package main
 
 import (
@@ -37,12 +31,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"regexp"
 	"sort"
 
 	"ookami/internal/bench"
-	"ookami/internal/stats"
 	"ookami/internal/trace"
 
 	// Kernel packages register their workloads from init functions.
@@ -92,10 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		code = cmdCompare(args[1:], out, errOut)
 	case "record":
 		code = cmdRecord(args[1:], out, errOut)
-	case "history":
-		code = cmdHistory(args[1:], out, errOut)
-	case "trend":
-		code = cmdTrend(args[1:], out, errOut)
 	case "-h", "-help", "--help", "help":
 		usage(out)
 	default:
@@ -110,19 +97,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(p *printer) {
-	p.f("usage: ookami-bench <list|run|compare|record|history|trend> [flags]\n")
+	p.f("usage: ookami-bench <list|run|compare|record> [flags]\n")
 	p.f("  list                      list registered workloads\n")
 	p.f("  run     [-filter re] [-repeats n] [-warmup n] [-timeout d] [-cov f]\n")
-	p.f("          [-retries n] [-history dir] [-commit id]\n")
-	p.f("          [-out file] [-trace file] [-json] [-q]\n")
+	p.f("          [-retries n] [-out file] [-trace file] [-json] [-q]\n")
 	p.f("                            run and store results\n")
 	p.f("  compare [-baseline file] [-current file] [-threshold f] [-noise-mult f]\n")
 	p.f("                            diff against a baseline; exit 1 on regression\n")
 	p.f("  record  -update-baseline [run flags]            rewrite the committed baseline\n")
-	p.f("  history [-dir d] [-last n] [-json]              list stored runs\n")
-	p.f("  trend   [-dir d] [-last n] [-filter re] [-threshold f] [-noise-mult f]\n")
-	p.f("          [-min-points n] [-json]\n")
-	p.f("                            detect drift across stored runs; exit 1 on drift\n")
 }
 
 func cmdList(args []string, out, errOut *printer) int {
@@ -160,14 +142,12 @@ func paramString(params map[string]string) string {
 
 // runConfig carries every `run`/`record` flag as one value.
 type runConfig struct {
-	filter     string
-	opt        bench.Options
-	jsonOut    bool
-	quiet      bool
-	outPath    string
-	tracePath  string
-	historyDir string
-	commit     string
+	filter    string
+	opt       bench.Options
+	jsonOut   bool
+	quiet     bool
+	outPath   string
+	tracePath string
 }
 
 // runFlags defines the flags shared by `run` and `record`.
@@ -183,8 +163,6 @@ func runFlags(fs *flag.FlagSet) *runConfig {
 	fs.BoolVar(&cfg.quiet, "q", false, "suppress per-workload progress")
 	fs.StringVar(&cfg.outPath, "out", bench.DefaultReportPath, "result file to write")
 	fs.StringVar(&cfg.tracePath, "trace", "", "trace the run: write Chrome trace_event JSON to `file` (OOKAMI_TRACE also enables)")
-	fs.StringVar(&cfg.historyDir, "history", "", "also append the report to the result history in `dir`")
-	fs.StringVar(&cfg.commit, "commit", "", "commit id recorded on the history entry (default: unknown)")
 	return cfg
 }
 
@@ -199,8 +177,8 @@ func cmdRun(args []string, out, errOut *printer) int {
 }
 
 // doRun executes the selected workloads in process, one after
-// another, stores the report (file, optional stdout JSON, optional
-// history append) and turns hard failures into the exit code.
+// another, stores the report (file, optional stdout JSON) and turns
+// hard failures into the exit code.
 func doRun(cfg *runConfig, out, errOut *printer) int {
 	ws, err := bench.Match(cfg.filter)
 	if err != nil {
@@ -238,16 +216,6 @@ func doRun(cfg *runConfig, out, errOut *printer) int {
 		if err := enc.Encode(rep); err != nil {
 			errOut.f("ookami-bench: %v\n", err)
 			return 1
-		}
-	}
-	if cfg.historyDir != "" {
-		entry, err := bench.AppendHistory(cfg.historyDir, cfg.commit, rep)
-		if err != nil {
-			errOut.f("ookami-bench: %v\n", err)
-			return 1
-		}
-		if !cfg.quiet {
-			errOut.f("ookami-bench: history -> %s\n", filepath.Join(cfg.historyDir, entry.ID+".json"))
 		}
 	}
 	failed := 0
@@ -349,117 +317,4 @@ func cmdRecord(args []string, out, errOut *printer) int {
 		cfg.opt.Repeats = 7
 	}
 	return doRun(cfg, out, errOut)
-}
-
-func cmdHistory(args []string, out, errOut *printer) int {
-	fs := flag.NewFlagSet("history", flag.ContinueOnError)
-	fs.SetOutput(errOut.w)
-	dir := fs.String("dir", bench.DefaultHistoryDir, "history directory")
-	last := fs.Int("last", 0, "show only the most recent n entries (default: all)")
-	jsonOut := fs.Bool("json", false, "write the entries as JSON to stdout")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	h, err := bench.LoadHistory(*dir)
-	if err != nil {
-		errOut.f("ookami-bench: %v\n", err)
-		return 2
-	}
-	warnQuarantined(h, errOut)
-	h = h.Tail(*last)
-	if *jsonOut {
-		enc := json.NewEncoder(out.w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(h.Entries); err != nil {
-			errOut.f("ookami-bench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	tb := stats.NewTable("", "id", "commit", "env", "recorded", "workloads", "failed")
-	for i := range h.Entries {
-		e := &h.Entries[i]
-		failed := 0
-		for j := range e.Report.Results {
-			if e.Report.Results[j].Failed() {
-				failed++
-			}
-		}
-		tb.AddRow(e.ID, e.Commit, e.EnvHash, e.Report.CreatedAt,
-			fmt.Sprint(len(e.Report.Results)), fmt.Sprint(failed))
-	}
-	out.f("%s", tb.String())
-	out.f("%d entrie(s) in %s\n", len(h.Entries), *dir)
-	return 0
-}
-
-func cmdTrend(args []string, out, errOut *printer) int {
-	fs := flag.NewFlagSet("trend", flag.ContinueOnError)
-	fs.SetOutput(errOut.w)
-	dir := fs.String("dir", bench.DefaultHistoryDir, "history directory")
-	last := fs.Int("last", 0, "analyze only the most recent n entries (default: all)")
-	filter := fs.String("filter", "", "regexp selecting workload names (default: all)")
-	var opt bench.TrendOptions
-	fs.Float64Var(&opt.Threshold, "threshold", 0, "drift ratio before noise widening (default 1.25)")
-	fs.Float64Var(&opt.NoiseMult, "noise-mult", 0, "CoV multiple added to the gate (default 2)")
-	fs.IntVar(&opt.MinPoints, "min-points", 0, "minimum usable runs before judging a workload (default 3)")
-	jsonOut := fs.Bool("json", false, "write the analysis as JSON to stdout")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	var re *regexp.Regexp
-	if *filter != "" {
-		var err error
-		if re, err = regexp.Compile(*filter); err != nil {
-			errOut.f("ookami-bench: bad -filter: %v\n", err)
-			return 2
-		}
-	}
-	h, err := bench.LoadHistory(*dir)
-	if err != nil {
-		errOut.f("ookami-bench: %v\n", err)
-		return 2
-	}
-	warnQuarantined(h, errOut)
-	tr := bench.DetectTrends(h.Tail(*last), re, opt)
-	// In JSON mode stdout is the document and nothing else — the human
-	// verdict lines move to stderr so the output stays parseable.
-	verdicts := out
-	if *jsonOut {
-		verdicts = errOut
-		enc := json.NewEncoder(out.w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(tr); err != nil {
-			errOut.f("ookami-bench: %v\n", err)
-			return 1
-		}
-	} else {
-		out.f("%s", tr.Table().String())
-	}
-	drifts := tr.Drifts()
-	for _, w := range drifts {
-		verdicts.f("DRIFT: %s is %.2fx %s since %s (commit %s; gate %.2fx, CI-disjoint)\n",
-			w.Name, driftFactor(w), w.Direction, w.SinceID, w.SinceCommit, w.Gate)
-	}
-	if len(drifts) > 0 {
-		return 1
-	}
-	verdicts.f("no drift across %d entrie(s)\n", tr.Entries)
-	return 0
-}
-
-// driftFactor renders the drift magnitude as a >1 factor regardless of
-// direction ("2.00x faster", not "0.50x faster").
-func driftFactor(w bench.WorkloadTrend) float64 {
-	if w.Ratio < 1 {
-		return 1 / w.Ratio
-	}
-	return w.Ratio
-}
-
-// warnQuarantined surfaces entries LoadHistory had to move aside.
-func warnQuarantined(h *bench.History, errOut *printer) {
-	for _, q := range h.Quarantined {
-		errOut.f("ookami-bench: warning: quarantined %s: %s\n", q.File, q.Reason)
-	}
 }

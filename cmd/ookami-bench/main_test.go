@@ -50,8 +50,14 @@ func TestUsageAndBadSubcommand(t *testing.T) {
 	if code := run(nil, &out, &errOut); code != 2 {
 		t.Errorf("no-args exit = %d, want 2", code)
 	}
-	if code := run([]string{"frobnicate"}, &out, &errOut); code != 2 {
-		t.Errorf("bad subcommand exit = %d, want 2", code)
+	for _, sub := range []string{"frobnicate", "history", "trend"} {
+		errOut.Reset()
+		if code := run([]string{sub}, &out, &errOut); code != 2 || !strings.Contains(errOut.String(), "unknown subcommand") {
+			t.Errorf("%s: exit = %d, stderr %q; want 2 and \"unknown subcommand\"", sub, code, errOut.String())
+		}
+	}
+	if code := run([]string{"run", "-history", "x"}, &out, &errOut); code != 2 {
+		t.Errorf("run -history exit = %d, want 2", code)
 	}
 	if code := run([]string{"run", "-filter", "["}, &out, &errOut); code != 2 {
 		t.Errorf("bad filter exit = %d, want 2", code)
@@ -183,71 +189,4 @@ func TestCompareRejectsWrongSchema(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-// TestHistoryAndTrendE2E is the drift acceptance check: three runs
-// appended to a history, the last 2x slower, must make `trend` exit
-// nonzero naming the workload — and `history` must list all three.
-func TestHistoryAndTrendE2E(t *testing.T) {
-	testutil.CheckGoroutineLeak(t)
-	const name = "e2e/drifting"
-	var delay atomic.Int64
-	delay.Store(int64(8 * time.Millisecond))
-	bench.Register(bench.Workload{
-		Name: name,
-		Doc:  "test workload with injectable drift",
-		Setup: func() (func(), error) {
-			return func() { time.Sleep(time.Duration(delay.Load())) }, nil
-		},
-	})
-	defer bench.Unregister(name)
-
-	dir := t.TempDir()
-	hist := filepath.Join(dir, "hist")
-	var out, errOut bytes.Buffer
-	for i, commit := range []string{"aaa", "bbb", "ccc"} {
-		if i == 2 {
-			delay.Store(int64(16 * time.Millisecond))
-		}
-		code := run([]string{"run", "-filter", "^e2e/drifting$", "-repeats", "3",
-			"-out", filepath.Join(dir, "r.json"), "-history", hist, "-commit", commit, "-q"},
-			&out, &errOut)
-		if code != 0 {
-			t.Fatalf("run %d exited %d: %s", i, code, errOut.String())
-		}
-	}
-
-	out.Reset()
-	if code := run([]string{"history", "-dir", hist}, &out, &errOut); code != 0 {
-		t.Fatalf("history exited %d: %s", code, errOut.String())
-	}
-	for _, want := range []string{"hist-000001-aaa", "hist-000002-bbb", "hist-000003-ccc", "3 entrie(s)"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("history output missing %q:\n%s", want, out.String())
-		}
-	}
-
-	out.Reset()
-	code := run([]string{"trend", "-dir", hist}, &out, &errOut)
-	if code == 0 {
-		t.Fatalf("trend did not flag a 2x drift:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "DRIFT: e2e/drifting") ||
-		!strings.Contains(out.String(), "slower since hist-000003-ccc") {
-		t.Errorf("drift not attributed:\n%s", out.String())
-	}
-
-	// A filter excluding the drifter passes.
-	out.Reset()
-	if code := run([]string{"trend", "-dir", hist, "-filter", "^nothing$"}, &out, &errOut); code != 0 {
-		t.Errorf("filtered trend exited %d:\n%s%s", code, out.String(), errOut.String())
-	}
-
-	// A missing history directory is a loud usage error, for both.
-	if code := run([]string{"history", "-dir", filepath.Join(dir, "nope")}, &out, &errOut); code != 2 {
-		t.Errorf("history on missing dir exit = %d, want 2", code)
-	}
-	if code := run([]string{"trend", "-dir", filepath.Join(dir, "nope")}, &out, &errOut); code != 2 {
-		t.Errorf("trend on missing dir exit = %d, want 2", code)
-	}
 }

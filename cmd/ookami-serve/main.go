@@ -1,9 +1,9 @@
 // Command ookami-serve runs the multi-tenant prediction API over the
 // performance model: POST /v1/predict answers kernel × toolchain ×
 // machine × threads what-if queries, GET /v1/roofline and the discovery
-// endpoints expose the model's query surface. Benchmark runs, their
-// comparison and their history belong to ookami-bench. See
-// docs/SERVE.md for the API reference.
+// endpoints expose the model's query surface. Benchmark runs and their
+// comparison belong to ookami-bench. See docs/SERVE.md for the API
+// reference.
 //
 // Usage:
 //

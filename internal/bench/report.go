@@ -110,7 +110,7 @@ func (e *SchemaError) Error() string {
 
 // WriteFile writes the report as indented JSON. The write is atomic
 // (temp file + rename in the target's directory): report files double
-// as committed baselines and history entries, and an in-place write
+// as committed baselines, and an in-place write
 // interrupted mid-stream would corrupt the very record the comparator
 // trusts. After WriteFile returns, path holds either the old content
 // or the new — never a truncated mix.
@@ -124,7 +124,7 @@ func (r *Report) WriteFile(path string) error {
 
 // atomicWriteFile replaces path with data via a temp file in the same
 // directory (rename is only atomic within one filesystem). Every
-// report, baseline, and history write goes through here.
+// report and baseline write goes through here.
 func atomicWriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")

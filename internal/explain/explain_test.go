@@ -1,12 +1,14 @@
 package explain
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"ookami/internal/machine"
+	"ookami/internal/npb"
 	"ookami/internal/perfmodel"
 	"ookami/internal/toolchain"
 )
@@ -209,6 +211,53 @@ func TestRequestKeyCanonicalizes(t *testing.T) {
 	c, _ := Request{Kernel: "exp", Toolchain: "Fujitsu", Threads: 2}.Key()
 	if a == c {
 		t.Error("different thread counts must not share a key")
+	}
+}
+
+// Equal answers must share one cache key, or one client can fill the
+// serve cache with copies of one answer by varying a field Predict
+// ignores. Thread counts past a machine's cores are the case in point:
+// Predict clamps them, so Key must too. The converse (equal keys mean
+// equal answers) is the cache's correctness contract.
+func TestRequestKeyMatchesPredictBody(t *testing.T) {
+	var kernels []string
+	for _, l := range AllLoops {
+		kernels = append(kernels, l.String())
+	}
+	kernels = append(kernels, npb.SuiteNames()...)
+	keyOf := map[string]string{}  // marshaled body -> key
+	bodyOf := map[string]string{} // key -> marshaled body
+	for _, tc := range toolchain.All {
+		for _, kernel := range kernels {
+			for _, m := range profiledMachines {
+				for _, threads := range []int{0, 1, 12, 48, 49, 1e9} {
+					req := Request{Kernel: kernel, Toolchain: tc.Name, Machine: m.Name, Threads: threads}
+					p, err := Predict(req)
+					if err != nil {
+						continue // rejected combination; TestPredictErrors pins Key agreeing
+					}
+					body, err := json.Marshal(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					key, err := req.Key()
+					if err != nil {
+						t.Fatalf("%+v: Predict answered but Key failed: %v", req, err)
+					}
+					if k, ok := keyOf[string(body)]; ok && k != key {
+						t.Errorf("%+v: equal answers under keys %q and %q", req, k, key)
+					}
+					if b, ok := bodyOf[key]; ok && b != string(body) {
+						t.Errorf("%+v: key %q maps to two answers", req, key)
+					}
+					keyOf[string(body)] = key
+					bodyOf[key] = string(body)
+				}
+			}
+		}
+	}
+	if len(keyOf) == 0 {
+		t.Fatal("no request was answered")
 	}
 }
 

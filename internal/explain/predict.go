@@ -163,6 +163,18 @@ func resolve(req Request) (toolchain.Toolchain, machine.Machine, error) {
 	return tc, m, nil
 }
 
+// resolveThreads is the thread count a request models on m: 0 means 1,
+// and counts beyond the machine's cores clamp to m.Cores. Key and
+// Predict both resolve threads here, so requests that model the same
+// run share one cache key.
+func resolveThreads(req Request, m machine.Machine) int {
+	threads := req.Threads
+	if threads == 0 {
+		threads = 1
+	}
+	return min(threads, m.Cores)
+}
+
 // Key is the canonical cache key of a request: the full resolved input
 // tuple, including defaults. Two requests with equal keys are guaranteed
 // byte-identical answers, which is the serve cache's contract.
@@ -171,10 +183,7 @@ func (req Request) Key() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	threads := req.Threads
-	if threads == 0 {
-		threads = 1
-	}
+	threads := resolveThreads(req, m)
 	var kernel string
 	var elems int
 	if l, ok := FindLoop(req.Kernel); ok {
@@ -201,13 +210,7 @@ func Predict(req Request) (Prediction, error) {
 	if err != nil {
 		return Prediction{}, err
 	}
-	threads := req.Threads
-	if threads == 0 {
-		threads = 1
-	}
-	if threads > m.Cores {
-		threads = m.Cores
-	}
+	threads := resolveThreads(req, m)
 	if l, ok := FindLoop(req.Kernel); ok {
 		return predictLoop(tc, l, m, threads, req.Elems)
 	}

@@ -94,7 +94,7 @@ func TestEngineMatchesCommittedResults(t *testing.T) {
 	checked := 0
 	for id, csv := range got {
 		if id == "expstudy" {
-			continue // sampled ULP row; pinned by value tests instead
+			continue // host-dependent ULP row (see TestGoldenFigures); pinned by value tests instead
 		}
 		path := filepath.Join(resultsDir, id+".csv")
 		want, err := os.ReadFile(path)

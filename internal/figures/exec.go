@@ -55,11 +55,3 @@ func ExecFor(tc toolchain.Toolchain, m machine.Machine, vecFrac float64) perfmod
 		BarrierCycles: explain.BarrierCycles(tc),
 	}
 }
-
-// ExecFirstTouch is ExecFor with the placement forced to first-touch (the
-// paper's "fujitsu-first-touch" bar in Figure 4).
-func ExecFirstTouch(tc toolchain.Toolchain, m machine.Machine, vecFrac float64) perfmodel.ExecParams {
-	e := ExecFor(tc, m, vecFrac)
-	e.Placement = perfmodel.FirstTouch
-	return e
-}

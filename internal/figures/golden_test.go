@@ -19,7 +19,9 @@ func TestGoldenFigures(t *testing.T) {
 	items := append(All(), Extras()...)
 	for _, it := range items {
 		if it.ID == "expstudy" {
-			// Contains a sampled ULP measurement; covered by value tests.
+			// Its accuracy row is measured against math.Exp, whose
+			// result depends on the host CPU (EXPERIMENTS.md, "Section
+			// IV accuracy row"); covered by value tests.
 			continue
 		}
 		t.Run(it.ID, func(t *testing.T) {
