@@ -35,16 +35,6 @@ import (
 
 	"ookami/internal/bench"
 	"ookami/internal/trace"
-
-	// Kernel packages register their workloads from init functions.
-	_ "ookami/internal/blas"
-	_ "ookami/internal/fft"
-	_ "ookami/internal/hpcc"
-	_ "ookami/internal/loops"
-	_ "ookami/internal/lulesh"
-	_ "ookami/internal/npb"
-	_ "ookami/internal/stencil"
-	_ "ookami/internal/vmath"
 )
 
 func main() {

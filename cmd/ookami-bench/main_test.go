@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,8 +16,11 @@ import (
 	"ookami/internal/testutil"
 )
 
-// TestRegistryCoverage pins the acceptance floor: the linked kernel
-// packages must register at least 12 workloads, spanning every suite.
+// TestRegistryCoverage pins the acceptance floor: the registry must
+// hold at least 12 workloads, spanning every suite, and exactly the
+// names and Params of the committed baseline. compare only notes a
+// baseline workload missing from the current run, so without this pin
+// a dropped or re-parameterized workload would pass the gate silently.
 func TestRegistryCoverage(t *testing.T) {
 	all := bench.All()
 	if len(all) < 12 {
@@ -30,6 +34,27 @@ func TestRegistryCoverage(t *testing.T) {
 		if !suites[s] {
 			t.Errorf("no workloads registered for suite %q", s)
 		}
+	}
+
+	base, err := bench.LoadReport(filepath.Join("..", "..", bench.DefaultBaselinePath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]map[string]string{}
+	for _, r := range base.Results {
+		want[r.Name] = r.Params
+	}
+	for _, w := range all {
+		p, ok := want[w.Name]
+		if !ok {
+			t.Errorf("%s is registered but not in the baseline", w.Name)
+		} else if !reflect.DeepEqual(w.Params, p) {
+			t.Errorf("%s params = %v, baseline has %v", w.Name, w.Params, p)
+		}
+		delete(want, w.Name)
+	}
+	for name := range want {
+		t.Errorf("%s is in the baseline but not registered", name)
 	}
 }
 

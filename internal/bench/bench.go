@@ -15,9 +15,9 @@
 // only when they clear both a noise-aware threshold and a bootstrap
 // CI-overlap test.
 //
-// Kernel packages register their workloads in init functions (their
-// benchreg.go shims); cmd/ookami-bench links them all and exposes
-// list/run/compare/record.
+// The workloads themselves are defined in one file, workloads.go, and
+// registered from this package's init; the kernel packages do not
+// import the harness. cmd/ookami-bench exposes list/run/compare/record.
 package bench
 
 // Workload is one registered benchmark: a named, parameterized kernel

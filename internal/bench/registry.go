@@ -8,9 +8,9 @@ import (
 	"sync"
 )
 
-// The process-wide registry. Kernel packages populate it from init
-// functions; tests may add scratch workloads. Guarded by a mutex so a
-// test registering concurrently with a reader is race-free.
+// The process-wide registry. workloads.go populates it from init;
+// tests may add scratch workloads. Guarded by a mutex so a test
+// registering concurrently with a reader is race-free.
 var (
 	regMu    sync.Mutex
 	registry = map[string]Workload{}
@@ -22,7 +22,7 @@ var nameRE = regexp.MustCompile(`^[a-z0-9][a-z0-9_.-]*/[a-z0-9][a-z0-9_.-]*$`)
 
 // Register adds a workload to the registry. It panics on a malformed
 // name, a nil Setup, or a duplicate registration — all programming
-// errors in a benchreg shim, best caught at init time.
+// errors in a workload definition, best caught at init time.
 func Register(w Workload) {
 	if !nameRE.MatchString(w.Name) {
 		panic(fmt.Sprintf("bench: invalid workload name %q (want suite/kernel)", w.Name))
@@ -59,14 +59,6 @@ func All() []Workload {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Lookup returns the named workload.
-func Lookup(name string) (Workload, bool) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	w, ok := registry[name]
-	return w, ok
 }
 
 // Match returns the workloads whose names match the regular expression

@@ -97,16 +97,17 @@ func MathCost(tc toolchain.Toolchain, m machine.Machine) map[perfmodel.MathFn]fl
 
 // ExecFor builds the node-level execution parameters for running an
 // application with vectorizable fraction vecFrac under toolchain tc on
-// machine m.
+// machine m. mathCost is MathCost(tc, m) or an equal memoized copy; the
+// result owns it.
 //
 //ookami:pure assembles parameters from the pure helpers above
-func ExecFor(tc toolchain.Toolchain, m machine.Machine, vecFrac float64) perfmodel.ExecParams {
+func ExecFor(tc toolchain.Toolchain, m machine.Machine, vecFrac float64, mathCost map[perfmodel.MathFn]float64) perfmodel.ExecParams {
 	peakFlopsPerCycle := float64(2 * m.FMAPipes * m.VectorLanes64())
 	vec := vecFrac * peakFlopsPerCycle * VecQuality(tc)
 	scalar := (1 - vecFrac) * ScalarIPC(m)
 	return perfmodel.ExecParams{
 		CyclesPerFlop: 1 / (vec + scalar),
-		MathCost:      MathCost(tc, m),
+		MathCost:      mathCost,
 		Placement:     tc.Placement,
 		BarrierCycles: BarrierCycles(tc),
 	}

@@ -51,11 +51,11 @@ func TestExplainRejectsBadCombination(t *testing.T) {
 	}
 }
 
-// ExecFor here and figures' engine-memoized variant must price identically;
-// this is the anti-duplication pin between the serve API and the figures.
+// ExecFor is the one application-pricing path: the serve API passes
+// MathCost, the figures an engine-memoized equal map.
 func TestExecForMatchesDirectDerivation(t *testing.T) {
 	for _, tc := range toolchain.OnA64FX {
-		e := ExecFor(tc, machine.A64FX, 0.8)
+		e := ExecFor(tc, machine.A64FX, 0.8, MathCost(tc, machine.A64FX))
 		if e.CyclesPerFlop <= 0 || math.IsNaN(e.CyclesPerFlop) {
 			t.Errorf("%s: bad CyclesPerFlop %v", tc.Name, e.CyclesPerFlop)
 		}

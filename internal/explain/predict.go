@@ -285,7 +285,7 @@ func predictLoop(tc toolchain.Toolchain, l toolchain.Loop, m machine.Machine, th
 func predictApp(tc toolchain.Toolchain, name string, m machine.Machine, threads int) Prediction {
 	st, _ := npb.StatsByName(name, npb.ClassC)
 	app := st.AppProfile(name)
-	exec := ExecFor(tc, m, st.VecFrac)
+	exec := ExecFor(tc, m, st.VecFrac, MathCost(tc, m))
 	parts := perfmodel.NodeTimeBreakdown(m, app, exec, threads)
 	total := parts.Total()
 	if st.TouchChurn > 0.3 && threads > 1 {

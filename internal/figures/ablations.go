@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"ookami/internal/explain"
 	"ookami/internal/loops"
 	"ookami/internal/machine"
 	"ookami/internal/npb"
@@ -161,7 +162,7 @@ func ChainLatencyAblation() *stats.Table {
 		mod := st
 		mod.ChainFrac = st.ChainFrac * float64(lat) / 9.0
 		mod.StreamBytes, mod.StridedBytes, mod.RandomBytes = 1, 1, 1
-		exec := ExecFor(toolchain.Fujitsu, machine.A64FX, st.VecFrac)
+		exec := explain.ExecFor(toolchain.Fujitsu, machine.A64FX, st.VecFrac, mathCostFor(toolchain.Fujitsu, machine.A64FX))
 		t.AddNumericRow(fmt.Sprintf("%d", lat),
 			perfmodel.NodeTime(machine.A64FX, mod.AppProfile("SP"), exec, 1))
 	}

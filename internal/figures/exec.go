@@ -8,7 +8,6 @@
 package figures
 
 import (
-	"ookami/internal/explain"
 	"ookami/internal/machine"
 	"ookami/internal/perfmodel"
 	"ookami/internal/toolchain"
@@ -24,7 +23,7 @@ import (
 // mathCostFor derives the per-call cycle cost of each math function for a
 // toolchain on a machine from the instruction-level model (see
 // explain.MathCost for the direct form). Each loop's cycle cost is a
-// certified engine query, so the many ExecFor calls that share a
+// certified engine query, so the many explain.ExecFor calls that share a
 // (toolchain, machine) pair compile and schedule them once. The returned
 // map is freshly built per call: ExecParams owns its MathCost.
 func mathCostFor(tc toolchain.Toolchain, m machine.Machine) map[perfmodel.MathFn]float64 {
@@ -38,20 +37,4 @@ func mathCostFor(tc toolchain.Toolchain, m machine.Machine) map[perfmodel.MathFn
 	}
 	cost[perfmodel.FnLog] = cost[perfmodel.FnExp] * 1.15
 	return cost
-}
-
-// ExecFor builds the node-level execution parameters for running an
-// application with vectorizable fraction vecFrac under toolchain tc on
-// machine m. It is explain.ExecFor with the math costs routed through
-// the package engine's memo.
-func ExecFor(tc toolchain.Toolchain, m machine.Machine, vecFrac float64) perfmodel.ExecParams {
-	peakFlopsPerCycle := float64(2 * m.FMAPipes * m.VectorLanes64())
-	vec := vecFrac * peakFlopsPerCycle * explain.VecQuality(tc)
-	scalar := (1 - vecFrac) * explain.ScalarIPC(m)
-	return perfmodel.ExecParams{
-		CyclesPerFlop: 1 / (vec + scalar),
-		MathCost:      mathCostFor(tc, m),
-		Placement:     tc.Placement,
-		BarrierCycles: explain.BarrierCycles(tc),
-	}
 }

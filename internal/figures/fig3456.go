@@ -22,7 +22,7 @@ var npbOrder = []string{"BT", "CG", "EP", "LU", "SP", "UA"}
 // overridden to model the fujitsu-first-touch experiment.
 func NPBTime(app npb.Benchmark, tc toolchain.Toolchain, m machine.Machine, threads int, firstTouch bool) float64 {
 	st := app.Characterize(npb.ClassC)
-	exec := ExecFor(tc, m, st.VecFrac)
+	exec := explain.ExecFor(tc, m, st.VecFrac, mathCostFor(tc, m))
 	if firstTouch {
 		exec.Placement = perfmodel.FirstTouch
 	}

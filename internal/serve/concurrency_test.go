@@ -194,13 +194,15 @@ func TestPredictSlowBodyHitsReadTimeout(t *testing.T) {
 		<-served
 	}()
 
+	// The clock starts before the dial: net/http arms ReadTimeout once
+	// it accepts the connection, which may precede Dial's return.
+	start := time.Now()
 	conn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	body := `{"kernel":"exp","toolchain":"GNU"}`
-	start := time.Now()
 	if _, err := fmt.Fprintf(conn, "POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
 		len(body), body[:10]); err != nil {
 		t.Fatal(err)

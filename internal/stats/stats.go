@@ -1,6 +1,7 @@
 // Package stats provides the small statistical and series utilities used by
-// the benchmark harnesses: summary statistics, relative-runtime series, and
-// text/CSV rendering of the tables and figures the paper reports.
+// the benchmark harnesses: summary statistics, bootstrap intervals,
+// parallel efficiency, and text/CSV rendering of the tables and figures the
+// paper reports.
 package stats
 
 import (
@@ -56,12 +57,6 @@ func Summarize(xs []float64) Summary {
 	}
 	return s
 }
-
-// Mean returns the arithmetic mean of xs, or NaN for an empty slice.
-func Mean(xs []float64) float64 { return Summarize(xs).Mean }
-
-// Stddev returns the sample standard deviation of xs.
-func Stddev(xs []float64) float64 { return Summarize(xs).Stddev }
 
 // GeoMean returns the geometric mean of xs. All values must be positive;
 // non-positive values make the result NaN.
@@ -167,29 +162,6 @@ func BootstrapCI(xs []float64, stat func([]float64) float64, conf float64, iters
 	}
 	alpha := (1 - conf) / 2
 	return Percentile(vals, 100*alpha), Percentile(vals, 100*(1-alpha))
-}
-
-// Relative divides every element of xs by base, producing the
-// "runtime relative to reference" series used throughout the paper.
-// It panics if base is zero.
-func Relative(xs []float64, base float64) []float64 {
-	if base == 0 {
-		panic("stats: zero base in Relative")
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
-}
-
-// Speedup returns base/x for every x: >1 means faster than the base.
-func Speedup(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = base / x
-	}
-	return out
 }
 
 // Efficiency converts a runtime series t(p) indexed by thread counts into

@@ -129,23 +129,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestRelativeAndSpeedup(t *testing.T) {
-	r := Relative([]float64{2, 4, 8}, 2)
-	if r[0] != 1 || r[1] != 2 || r[2] != 4 {
-		t.Errorf("relative = %v", r)
-	}
-	s := Speedup([]float64{2, 1}, 4)
-	if s[0] != 2 || s[1] != 4 {
-		t.Errorf("speedup = %v", s)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Relative with zero base should panic")
-		}
-	}()
-	Relative([]float64{1}, 0)
-}
-
 func TestEfficiency(t *testing.T) {
 	// Perfect scaling: t(p) = t1/p -> efficiency 1 everywhere.
 	th := []int{1, 2, 4}
