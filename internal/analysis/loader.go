@@ -267,7 +267,11 @@ func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 		})
 	}
 	if len(xtest) > 0 {
-		pkg, info, err := l.check(path+"_test", xtest)
+		xl := l
+		if len(intest) > 0 {
+			xl = l.testVariant(path, units[len(units)-1].Types)
+		}
+		pkg, info, err := xl.check(path+"_test", xtest)
 		if err != nil {
 			return nil, err
 		}
@@ -277,6 +281,42 @@ func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 	}
 	l.units[dir] = units
 	return units, nil
+}
+
+// testVariant returns a loader that resolves path to variant, the package
+// type-checked with its in-package test files, and re-checks every module
+// package that imports path against it. An external test package sees
+// what `go test` compiles it against: the package plus, say, the helpers
+// an export_test.go declares.
+func (l *Loader) testVariant(path string, variant *types.Package) *Loader {
+	tl := &Loader{
+		ModuleRoot: l.ModuleRoot,
+		ModulePath: l.ModulePath,
+		fset:       l.fset,
+		std:        l.std,
+		cache:      map[string]*types.Package{path: variant},
+		loading:    map[string]bool{},
+	}
+	depends := map[*types.Package]bool{}
+	var dependsOn func(*types.Package) bool
+	dependsOn = func(pkg *types.Package) bool {
+		d, ok := depends[pkg]
+		if !ok {
+			for _, imp := range pkg.Imports() {
+				if d = imp.Path() == path || dependsOn(imp); d {
+					break
+				}
+			}
+			depends[pkg] = d
+		}
+		return d
+	}
+	for p, pkg := range l.cache {
+		if p != path && !dependsOn(pkg) {
+			tl.cache[p] = pkg
+		}
+	}
+	return tl
 }
 
 // LoadSource type-checks in-memory sources as one package — the fixture

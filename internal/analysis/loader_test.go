@@ -83,3 +83,45 @@ func TestLoadDirSkipsExcludedFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadDirExternalTestSeesExportTest reproduces the export_test.go
+// idiom: the external test package calls a helper that an in-package test
+// file exports, and passes it a value from another module package that
+// imports the package under test. `go test` compiles both against the
+// test variant of p, and so must the loader.
+func TestLoadDirExternalTestSeesExportTest(t *testing.T) {
+	root := t.TempDir()
+	for _, dir := range []string{"p", "q"} {
+		if err := os.Mkdir(filepath.Join(root, dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := map[string]string{
+		"go.mod":             "module example.test\n\ngo 1.24\n",
+		"p/p.go":             "package p\n\ntype T int\n\nfunc (t T) double() T { return 2 * t }\n",
+		"p/export_test.go":   "package p\n\nfunc (t T) Double() T { return t.double() }\n",
+		"q/q.go":             "package q\n\nimport \"example.test/p\"\n\nfunc One() p.T { return 1 }\n",
+		"p/external_test.go": "package p_test\n\nimport (\n\t\"example.test/p\"\n\t\"example.test/q\"\n)\n\nvar two p.T = q.One().Double()\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(root, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Load q first, so the plain p is cached before the external test
+	// package needs the variant.
+	if _, err := l.LoadDir(filepath.Join(root, "q")); err != nil {
+		t.Fatal(err)
+	}
+	units, err := l.LoadDir(filepath.Join(root, "p"))
+	if err != nil {
+		t.Fatalf("LoadDir with an export_test.go helper: %v", err)
+	}
+	if got := units[len(units)-1].Path; got != "example.test/p_test" {
+		t.Errorf("last unit %s, want the external test package", got)
+	}
+}

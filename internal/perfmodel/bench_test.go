@@ -11,7 +11,9 @@ import (
 // BenchmarkCyclesPerIter times the scheduler on the bodies the figures
 // query most: the Fujitsu FEXPA + Horner exp on A64FX, GNU's blocking
 // FSQRT loop on A64FX (134 cycles of pipe occupancy per vector), and
-// the Intel SVML exp on Skylake's large window.
+// the Intel SVML exp on Skylake's large window. sim-iters/op is how many
+// of the 192 iterations of the two runs were simulated: their shared
+// prefix runs once, and repeats of the steady state are skipped.
 func BenchmarkCyclesPerIter(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -28,12 +30,16 @@ func BenchmarkCyclesPerIter(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var sink float64
+			var sim int
 			for i := 0; i < b.N; i++ {
-				sink += prof.CyclesPerIter(body)
+				cpi, n := prof.CyclesPerIterSim(body)
+				sink += cpi
+				sim = n
 			}
 			if sink <= 0 {
 				b.Fatal("non-positive cycles per iteration")
 			}
+			b.ReportMetric(float64(sim), "sim-iters/op")
 		})
 	}
 }

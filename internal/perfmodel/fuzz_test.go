@@ -148,13 +148,15 @@ func compiledBodies(t testing.TB) (sels []byte, codes [][]byte) {
 
 // FuzzScheduleEquivalence checks the event-driven scheduler against the
 // cycle-stepped reference on arbitrary bodies and profiles. The seed
-// corpus is every body shape toolchain.Compile emits, at the 64
-// iterations CyclesPerIter runs, plus the corner profiles committed under
-// testdata/fuzz.
+// corpus is every body shape toolchain.Compile emits, at the 64 and 128
+// iterations CyclesPerIter runs (long enough for most to skip repeated
+// iterations and then simulate the drain), plus the corner profiles
+// committed under testdata/fuzz.
 func FuzzScheduleEquivalence(f *testing.F) {
 	sels, codes := compiledBodies(f)
 	for i := range codes {
 		f.Add([]byte{sels[i]}, codes[i], uint8(63))
+		f.Add([]byte{sels[i]}, codes[i], uint8(127))
 	}
 	f.Fuzz(func(t *testing.T, sel, code []byte, iters uint8) {
 		body := decodeBody(code)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // The windowed out-of-order scheduler. It executes N copies of a loop body
@@ -29,7 +30,23 @@ import (
 // the ready instructions in a bitset (and the ones waiting on a producer's
 // latency in a min-heap keyed by ready time), so a cycle costs work
 // proportional to what can issue rather than to the window size, and a
-// cycle in which nothing new can happen is skipped outright.
+// cycle in which nothing new can happen is skipped outright. Only the
+// instructions from the window to the reach of its consumers are live, so
+// their state sits in a ring of a few hundred entries, whatever the
+// iteration count.
+//
+// Schedule also skips the periodic steady state. The core is
+// deterministic, so once its state at the start of an iteration, taken
+// relative to that iteration's first instruction and the current cycle,
+// repeats after P iterations and D cycles, every later stretch of P
+// iterations is the same stretch shifted by D cycles. Schedule detects the
+// repeat Brent-style (it saves the state at the 1st, 2nd, 4th, 8th, ...
+// iteration boundary and compares each later one against it), then jumps
+// over as many whole periods as leave the end of the run — where the
+// window and the carried dependences reach the last iteration — to be
+// simulated for real. The answer is bit-identical to the full run.
+// CyclesPerIter runs the prefix its 64- and 128-iteration runs share only
+// once. ScheduleTrace always runs in full, since it records every issue.
 
 // notIssued is the done time of an instruction that has not issued. It
 // compares greater than every cycle, so "done <= cycle" also means
@@ -67,16 +84,41 @@ type schedCore struct {
 	// consumer, n+j for a consumer in the next iteration.
 	start, cons []int32
 
-	instrs []coreInstr
-	ready  []uint64 // in window, producers all done
-	wait   []waiter // min-heap: in window, producers issued, results not yet available
-	slots  []int    // per pipe: the cycle it is free again
-	kinds  [numPipeKinds + 1]int
+	// Instruction g lives in instrs[g&mask], its ready bit in word
+	// g>>6&wmask. The ring covers head's bitset word up to head+Window+2n,
+	// the furthest the window's consumers reach, so no live instruction
+	// or ready bit shares a slot with another. filled is one past the
+	// last instruction put in the ring.
+	instrs      []coreInstr
+	ready       []uint64 // in window, producers all done
+	mask, wmask int
+	filled      int
+	wait        []waiter // min-heap: in window, producers issued, results not yet available
+	slots       []int    // per pipe: the cycle it is free again
+	kinds       [numPipeKinds + 1]int
 
 	head, tail, cycle, issued, last int
 
+	// forkAt stops run at the first loop top from which the next step
+	// could touch instruction forkAt: the end of the prefix that
+	// CyclesPerIter's two runs share. math.MaxInt otherwise.
+	forkAt int
+
 	events []IssueEvent // nil unless tracing
 	util   *Utilization // nil unless tracing
+
+	// The steady-state skip (see observe): whether it is still looking for
+	// a repeat, the first instruction of the next iteration boundary, the
+	// boundaries seen, the state saved at one of them (with its iteration
+	// and cycle) and scratch for the current one. Once a repeat is found,
+	// period and periodCycles are its length in instructions and cycles.
+	// skipped counts the instructions this run did not simulate.
+	seeking              bool
+	nextBoundary, seen   int
+	saved, cur           []int
+	savedIter, savedAt   int
+	period, periodCycles int
+	skipped              int
 }
 
 // Schedule simulates iters iterations of body and returns the total cycles
@@ -84,56 +126,91 @@ type schedCore struct {
 //
 //ookami:pure scheduler operates on local state only
 func (p *Profile) Schedule(body Body, iters int) int {
-	if len(body) == 0 || iters == 0 {
-		return 0
-	}
-	return p.scheduleCore(body, iters, nil, nil)
+	cycles, _ := p.schedule(body, iters)
+	return cycles
 }
 
-// scheduleCore runs the scheduler and returns the cycle the last result is
-// available. With events and util non-nil it also records every issue
-// (events has one slot per dynamic instruction) and the busy pipe-cycles.
-// It panics on an invalid body, on a profile that cannot issue some op of
-// the body, and on a run that reaches maxCycles.
-func (p *Profile) scheduleCore(body Body, iters int, events []IssueEvent, util *Utilization) int {
+// schedule is Schedule that also returns how many of the iterations were
+// simulated rather than skipped.
+func (p *Profile) schedule(body Body, iters int) (cycles, simulated int) {
+	if !runnable(body, iters) {
+		return 0, 0
+	}
+	s := p.newCore(body, iters, nil, nil)
+	s.run()
+	return s.last, s.simulated()
+}
+
+// runnable reports whether iters iterations of body hold an instruction to
+// schedule. It panics on a negative count.
+func runnable(body Body, iters int) bool {
+	if iters < 0 {
+		panic(fmt.Sprintf("perfmodel: negative iteration count %d", iters))
+	}
+	return len(body) > 0 && iters > 0
+}
+
+// newCore sets up a run of iters iterations of a non-empty body. With
+// events and util non-nil the run records every issue (events has one
+// slot per dynamic instruction) and the busy pipe-cycles, and simulates
+// every iteration; otherwise it skips the periodic steady state. It panics
+// on an invalid body and on a profile that cannot issue some op of the
+// body.
+func (p *Profile) newCore(body Body, iters int, events []IssueEvent, util *Utilization) schedCore {
 	if !body.Validate() {
 		panic("perfmodel: invalid body")
 	}
 	p.checkCanIssue(body)
 	s := schedCore{p: p, body: body, n: len(body), total: len(body) * iters,
-		costs: p.costTab, events: events, util: util}
+		costs: p.costTab, forkAt: math.MaxInt, events: events, util: util, seeking: events == nil}
 	if s.costs == nil {
 		// A profile built outside ProfileFor gets a run-local table (never
 		// cached back — Schedule stays free of shared-state writes).
 		s.costs = p.buildCostTable()
 	}
 	s.buildConsumers()
-	s.instrs = make([]coreInstr, s.total)
-	for k := 0; k < iters; k++ {
-		for i, ins := range body {
-			pending := len(ins.Deps)
-			if k > 0 {
-				pending += len(ins.Carried)
-			}
-			s.instrs[k*s.n+i] = coreInstr{done: notIssued, pending: int32(pending),
-				op: uint8(ins.Op)}
-		}
-	}
-	s.ready = make([]uint64, (s.total+63)/64)
+	s.makeRing()
 	s.wait = make([]waiter, 0, min(p.Window, s.total))
 	for k := pipeKind(0); k < numPipeKinds; k++ {
 		s.kinds[k+1] = s.kinds[k] + p.pipes(k)
 	}
 	s.slots = make([]int, s.kinds[numPipeKinds])
+	if s.seeking {
+		s.cur, s.saved = s.stateBuffers(nil)
+	}
+	s.fill(s.reach())
+	return s
+}
 
+// makeRing allocates an empty ring for the run. It spans at least 64
+// slots (one bitset word) beyond the live range: at most Window+2n
+// instructions, or total if that is fewer.
+func (s *schedCore) makeRing() {
+	size := 1 << bits.Len(uint(min(s.total, s.p.Window+2*s.n)+63))
+	s.instrs = make([]coreInstr, size)
+	s.ready = make([]uint64, size/64)
+	s.mask, s.wmask = size-1, size/64-1
+}
+
+// run simulates until every instruction has issued, or until forkAt stops
+// it; it panics on reaching maxCycles.
+func (s *schedCore) run() {
+	p := s.p
 	for s.issued < s.total {
 		if s.cycle >= maxCycles {
 			panic(fmt.Sprintf("perfmodel: %s did not finish %d instructions within %d cycles",
 				p.Name, s.total, maxCycles))
 		}
-		for s.instrs[s.head].done <= s.cycle {
+		for s.instrs[s.head&s.mask].done <= s.cycle {
 			s.head++
 		}
+		if s.seeking && s.head >= s.nextBoundary {
+			s.observe()
+		}
+		if s.head+p.Window+2*s.n > s.forkAt {
+			return
+		}
+		s.fill(s.reach())
 		for s.tail < s.total && s.tail-s.head < p.Window {
 			s.enqueue(s.tail)
 			s.tail++
@@ -147,8 +224,15 @@ func (p *Profile) scheduleCore(body Body, iters int, events []IssueEvent, util *
 			s.cycle++
 		}
 	}
-	return s.last
 }
+
+// reach is one past the furthest instruction the next step can touch: the
+// window's end once it fills, plus the 2n its consumers reach past that.
+func (s *schedCore) reach() int { return min(s.total, s.head+s.p.Window+2*s.n) }
+
+// simulated is how many iterations the run simulated: all but the skipped
+// ones, counting a partly simulated iteration as simulated.
+func (s *schedCore) simulated() int { return (s.total - s.skipped + s.n - 1) / s.n }
 
 // checkCanIssue panics unless the profile can issue every op of body.
 func (p *Profile) checkCanIssue(body Body) {
@@ -197,10 +281,24 @@ func (s *schedCore) buildConsumers() {
 	s.start[0] = 0
 }
 
+// fill puts instructions up to lim in the ring, not issued and waiting on
+// all their producers.
+func (s *schedCore) fill(lim int) {
+	for ; s.filled < lim; s.filled++ {
+		g := s.filled
+		ins := &s.body[g%s.n]
+		pending := len(ins.Deps)
+		if g >= s.n {
+			pending += len(ins.Carried)
+		}
+		s.instrs[g&s.mask] = coreInstr{done: notIssued, pending: int32(pending), op: uint8(ins.Op)}
+	}
+}
+
 // enqueue files in-window instruction g once its last producer has issued:
 // ready now, or waiting for that producer's latency.
 func (s *schedCore) enqueue(g int) {
-	in := &s.instrs[g]
+	in := &s.instrs[g&s.mask]
 	switch {
 	case in.pending > 0:
 	case in.readyAt <= s.cycle:
@@ -210,7 +308,9 @@ func (s *schedCore) enqueue(g int) {
 	}
 }
 
-func (s *schedCore) markReady(g int) { s.ready[g>>6] |= 1 << (g & 63) }
+func (s *schedCore) markReady(g int) { s.ready[g>>6&s.wmask] |= 1 << (g & 63) }
+
+func (s *schedCore) isReady(g int) bool { return s.ready[g>>6&s.wmask]>>(g&63)&1 != 0 }
 
 // issueCycle issues ready instructions oldest-first up to the issue width
 // and returns how many issued. The scan re-reads each bitset word after an
@@ -220,7 +320,7 @@ func (s *schedCore) issueCycle() int {
 	width := s.p.IssueWidth
 	issued := 0
 	for w := s.head >> 6; w <= (s.tail-1)>>6; w++ {
-		word := s.ready[w]
+		word := s.ready[w&s.wmask]
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			if s.tryIssue(w<<6 | b) {
@@ -228,7 +328,7 @@ func (s *schedCore) issueCycle() int {
 					return issued
 				}
 			}
-			word = s.ready[w] &^ (1<<(b+1) - 1)
+			word = s.ready[w&s.wmask] &^ (1<<(b+1) - 1)
 		}
 	}
 	return issued
@@ -237,7 +337,7 @@ func (s *schedCore) issueCycle() int {
 // tryIssue issues ready instruction g if a pipe of its kind is free this
 // cycle.
 func (s *schedCore) tryIssue(g int) bool {
-	in := &s.instrs[g]
+	in := &s.instrs[g&s.mask]
 	op := Op(in.op)
 	kind := pipeTab[op]
 	lo, hi := s.kinds[kind], s.kinds[kind+1]
@@ -254,7 +354,7 @@ func (s *schedCore) tryIssue(g int) bool {
 	if slot < 0 {
 		return false
 	}
-	s.ready[g>>6] &^= 1 << (g & 63)
+	s.ready[g>>6&s.wmask] &^= 1 << (g & 63)
 	i := g % s.n
 	c := s.costs[op]
 	s.slots[slot] = s.cycle + c.Occupancy
@@ -272,7 +372,7 @@ func (s *schedCore) tryIssue(g int) bool {
 		if h >= s.total {
 			continue // carried into an iteration that is not run
 		}
-		c := &s.instrs[h]
+		c := &s.instrs[h&s.mask]
 		c.readyAt = max(c.readyAt, done)
 		c.pending--
 		if c.pending == 0 && h < s.tail {
@@ -286,7 +386,7 @@ func (s *schedCore) tryIssue(g int) bool {
 // slots can change: a waiting instruction becomes ready, the head retires
 // (admitting more), or a busy pipe frees. notIssued if there is none.
 func (s *schedCore) nextEvent() int {
-	next := s.instrs[s.head].done
+	next := s.instrs[s.head&s.mask].done
 	if len(s.wait) > 0 {
 		next = min(next, s.wait[0].at)
 	}
@@ -300,7 +400,7 @@ func (s *schedCore) nextEvent() int {
 
 // pushWait and popWait maintain the wait heap, earliest ready time on top.
 func (s *schedCore) pushWait(g int) {
-	w := waiter{at: s.instrs[g].readyAt, g: int32(g)}
+	w := waiter{at: s.instrs[g&s.mask].readyAt, g: int32(g)}
 	s.wait = append(s.wait, w)
 	j := len(s.wait) - 1
 	for j > 0 {
@@ -341,15 +441,211 @@ func (s *schedCore) popWait() int {
 	return int(top)
 }
 
+// observe runs at the first loop top, after retirement, at which head has
+// entered a new iteration. It takes the run's state relative to that
+// iteration's first instruction b and the current cycle, and on a repeat
+// of the saved state jumps ahead by whole periods. The state is
+//   - head and tail, less b;
+//   - last and each pipe's free time, less the cycle and clamped at 0
+//     (every time at or before the cycle behaves the same);
+//   - for each instruction from head up to end = tail+2n (the furthest a
+//     window instruction's carried consumers reach; beyond it every
+//     instruction is untouched): its done time (-1 if not issued),
+//     readyAt clamped the same way, pending count and ready bit.
+//
+// The wait heap needs no entry of its own: it holds exactly the window
+// instructions that are not issued, not ready and have no pending
+// producer, each at its readyAt, which is never before the cycle at a
+// loop top. Every due entry is popped in the same step, so the heap's
+// layout does not matter either.
+func (s *schedCore) observe() {
+	k := s.head / s.n
+	b := k * s.n
+	s.nextBoundary = b + s.n
+	end := s.tail + 2*s.n
+	if end > min(s.total, s.forkAt)-s.n {
+		return // too close to the end for a jump of even one iteration
+	}
+	s.seen++
+	s.cur = s.appendHeader(s.cur[:0], b)
+	if s.repeats(end) {
+		s.period, s.periodCycles = (k-s.savedIter)*s.n, s.cycle-s.savedAt
+		s.seeking = false
+		s.skipAhead()
+		return
+	}
+	if s.seen&(s.seen-1) == 0 {
+		s.saved = s.appendState(s.saved[:0], b)
+		s.savedIter, s.savedAt = k, s.cycle
+	}
+}
+
+// appendHeader appends the scalar part of observe's state, with head and
+// tail taken relative to instruction b.
+func (s *schedCore) appendHeader(dst []int, b int) []int {
+	dst = append(dst, s.head-b, s.tail-b, max(s.last-s.cycle, 0))
+	for _, free := range s.slots {
+		dst = append(dst, max(free-s.cycle, 0))
+	}
+	return dst
+}
+
+// appendState appends observe's state, with indices taken relative to
+// instruction b.
+func (s *schedCore) appendState(dst []int, b int) []int {
+	dst = s.appendHeader(dst, b)
+	for g := s.head; g < s.tail+2*s.n; g++ {
+		v := s.instrState(g)
+		dst = append(dst, v[:]...)
+	}
+	return dst
+}
+
+// instrState is observe's state of instruction g.
+func (s *schedCore) instrState(g int) [3]int {
+	in := &s.instrs[g&s.mask]
+	done := -1
+	if in.done != notIssued {
+		done = max(in.done-s.cycle, 0)
+	}
+	ready := 0
+	if s.isReady(g) {
+		ready = 1
+	}
+	return [3]int{done, max(in.readyAt-s.cycle, 0), int(in.pending)<<1 | ready}
+}
+
+// repeats reports whether the state at this boundary, whose header is in
+// cur and whose instructions run up to end, equals the saved one. It stops
+// at the first difference.
+func (s *schedCore) repeats(end int) bool {
+	h := len(s.cur)
+	if len(s.saved) != h+3*(end-s.head) || !slices.Equal(s.cur, s.saved[:h]) {
+		return false
+	}
+	for g, i := s.head, h; g < end; g, i = g+1, i+3 {
+		if s.instrState(g) != [3]int(s.saved[i:i+3]) {
+			return false
+		}
+	}
+	return true
+}
+
+// skipAhead jumps over as many whole periods as keep end — and with it
+// every boundary effect (tail reaching total, consumers past total) and
+// the fork point — in the part of the run simulated for real. The state
+// at every loop top after a repeat recurs one period later, so it may run
+// at any loop top.
+func (s *schedCore) skipAhead() {
+	if s.period == 0 {
+		return
+	}
+	end := s.tail + 2*s.n
+	if m := (min(s.total, s.forkAt) - end) / s.period; m > 0 {
+		s.jump(m*s.period, m*s.periodCycles)
+	}
+}
+
+// jump moves the run di instructions (whole iterations) and dc cycles
+// ahead, to the state the full run reaches there: the current one,
+// shifted.
+func (s *schedCore) jump(di, dc int) {
+	s.cur = s.appendState(s.cur[:0], s.head)
+	for g := s.head; g < s.tail; g++ {
+		s.ready[g>>6&s.wmask] &^= 1 << (g & 63)
+	}
+	s.restore(s.cur, s.head+di, s.cycle+dc)
+	s.skipped += di
+}
+
+// restore sets the run to state st, as appendState encoded it, placed at
+// instruction b and the given cycle. It rebuilds the wait heap from the
+// instructions, as observe describes.
+func (s *schedCore) restore(st []int, b, cycle int) {
+	s.cycle = cycle
+	s.head, s.tail, s.last = b+st[0], b+st[1], cycle+st[2]
+	for p := range s.slots {
+		s.slots[p] = cycle + st[3+p]
+	}
+	s.issued = s.head
+	s.wait = s.wait[:0]
+	h := 3 + len(s.slots)
+	s.filled = s.head
+	s.fill(s.head + (len(st)-h)/3)
+	for j, g := h, s.head; j < len(st); j, g = j+3, g+1 {
+		in := &s.instrs[g&s.mask]
+		in.readyAt, in.pending = cycle+st[j+1], int32(st[j+2]>>1)
+		if st[j] >= 0 {
+			in.done = cycle + st[j]
+			s.issued++
+		}
+		switch {
+		case st[j+2]&1 != 0:
+			s.markReady(g)
+		case g < s.tail && in.pending == 0 && in.done == notIssued:
+			s.pushWait(g)
+		}
+	}
+}
+
+// stateBuffers returns an empty buffer for a state and a copy of saved,
+// each with room for the largest state, in one allocation.
+func (s *schedCore) stateBuffers(saved []int) (cur, copied []int) {
+	size := 3 + len(s.slots) + 3*(min(s.p.Window, s.total)+2*s.n)
+	buf := make([]int, 2*size)
+	return buf[:0:size], append(buf[size:size], saved...)
+}
+
+// fork returns a copy of the run, stopped at its fork point, that runs
+// iters iterations instead. The copy counts the shared prefix as skipped.
+func (s *schedCore) fork(iters int) schedCore {
+	t := *s
+	t.total = iters * s.n
+	t.makeRing()
+	for g := s.head; g < s.filled; g++ {
+		t.instrs[g&t.mask] = s.instrs[g&s.mask]
+	}
+	for g := s.head; g < s.tail; g++ {
+		if s.isReady(g) {
+			t.markReady(g)
+		}
+	}
+	t.wait = append(make([]waiter, 0, cap(s.wait)), s.wait...)
+	t.slots = slices.Clone(s.slots)
+	t.cur, t.saved = t.stateBuffers(s.saved)
+	t.fill(t.reach()) // s filled only up to its own total
+	t.forkAt = math.MaxInt
+	t.skipped = s.head
+	return t
+}
+
 // CyclesPerIter returns the steady-state cycles per loop iteration,
 // measured by differencing two long runs to cancel fill/drain effects.
 //
 //ookami:pure
 func (p *Profile) CyclesPerIter(body Body) float64 {
+	cpi, _ := p.cyclesPerIter(body)
+	return cpi
+}
+
+// cyclesPerIter is CyclesPerIter that also returns how many iterations its
+// two runs simulated between them. The runs are identical until the
+// shorter one's window and consumers reach its end, so the longer one is
+// forked from it there.
+func (p *Profile) cyclesPerIter(body Body) (cpi float64, simulated int) {
 	const k = 64
-	t1 := p.Schedule(body, k)
-	t2 := p.Schedule(body, 2*k)
-	return float64(t2-t1) / float64(k)
+	if len(body) == 0 {
+		return 0, 0
+	}
+	short := p.newCore(body, k, nil, nil)
+	short.forkAt = short.total
+	short.run()
+	long := short.fork(2 * k)
+	short.forkAt = math.MaxInt
+	short.run()
+	long.skipAhead()
+	long.run()
+	return float64(long.last-short.last) / k, short.simulated() + long.simulated()
 }
 
 // CyclesPerElement is CyclesPerIter divided by the number of elements one

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"ookami/internal/machine"
 	pm "ookami/internal/perfmodel"
+	"ookami/internal/toolchain"
 )
 
 // refPipe is the pipe kind an op issues to: 0 FP (and CALL), 1 load,
@@ -216,6 +218,54 @@ func TestScheduleMatchesReference(t *testing.T) {
 		for b := 0; b < bodies; b++ {
 			checkAgainstRef(t, p, randomBody(rng, 24), 1+rng.Intn(40))
 		}
+	}
+}
+
+// TestScheduleSkipMatchesFullRun checks the steady-state skip on runs long
+// enough to jump, which the short random runs above rarely are. Schedule
+// must equal the cycles of ScheduleTrace, which simulates every
+// iteration, and CyclesPerIter, which forks its 128-iteration run from
+// its 64-iteration one, must equal the difference of the two full runs.
+func TestScheduleSkipMatchesFullRun(t *testing.T) {
+	check := func(p *pm.Profile, body pm.Body, iters ...int) {
+		t.Helper()
+		full := map[int]int{}
+		for _, n := range append(iters, 64, 128) {
+			_, util := p.ScheduleTrace(body, n)
+			full[n] = util.Cycles
+			if got := p.Schedule(body, n); got != util.Cycles {
+				t.Fatalf("%s, %d iters of %v: Schedule = %d cycles, full run %d",
+					p.Name, n, body, got, util.Cycles)
+			}
+		}
+		if got, want := p.CyclesPerIter(body), float64(full[128]-full[64])/64; got != want {
+			t.Fatalf("%s, %v: CyclesPerIter = %v, full runs give %v", p.Name, body, got, want)
+		}
+	}
+	sels, codes := compiledBodies(t)
+	for i := range codes {
+		check(decodeProfile([]byte{sels[i]}), decodeBody(codes[i]), 192, 1000)
+	}
+	rng := rand.New(rand.NewSource(21))
+	bodies := 60
+	if testing.Short() {
+		bodies = 15
+	}
+	for _, p := range equivalenceProfiles() {
+		for b := 0; b < bodies; b++ {
+			check(p, randomBody(rng, 24), 1+rng.Intn(400))
+		}
+	}
+
+	// The skip must act: GNU's blocking FSQRT loop on A64FX repeats
+	// within a few iterations.
+	a64, _ := pm.ProfileFor(machine.A64FX.Name)
+	body := toolchain.GNU.Compile(toolchain.LoopSqrt, machine.A64FX).Body
+	if _, sim := a64.ScheduleSim(body, 1000); sim >= 100 {
+		t.Errorf("Schedule simulated %d of 1000 iterations of GNU sqrt on A64FX; want a skip", sim)
+	}
+	if _, sim := a64.CyclesPerIterSim(body); sim >= 64 {
+		t.Errorf("CyclesPerIter simulated %d of 192 iterations of GNU sqrt on A64FX; want a skip", sim)
 	}
 }
 

@@ -286,6 +286,27 @@ func TestDegenerateProfilesPanic(t *testing.T) {
 	}
 }
 
+func TestNegativeItersPanics(t *testing.T) {
+	// A negative count used to die in makeslice with a runtime error.
+	p := A64FXProfile
+	body := Body{I(LOAD), I(FMA, 0), I(STORE, 1)}
+	for name, run := range map[string]func(){
+		"Schedule":      func() { p.Schedule(body, -1) },
+		"ScheduleTrace": func() { p.ScheduleTrace(body, -1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := "perfmodel: negative iteration count -1"; msg != want {
+					t.Errorf("panic %q, want %q", msg, want)
+				}
+			}()
+			run()
+			t.Error("no panic")
+		})
+	}
+}
+
 func TestScheduleAllocsIndependentOfIters(t *testing.T) {
 	// The run state is a handful of flat slices: no per-instruction
 	// allocation, so doubling the iterations must not add allocations.

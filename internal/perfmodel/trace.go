@@ -30,15 +30,18 @@ type Utilization struct {
 }
 
 // ScheduleTrace simulates iters iterations of body and returns the issue
-// trace plus utilization. It is the same run as Schedule, recorded.
+// trace plus utilization. It is the same run as Schedule, recorded, and
+// it simulates every iteration: it never skips the steady state.
 func (p *Profile) ScheduleTrace(body Body, iters int) ([]IssueEvent, Utilization) {
-	if len(body) == 0 || iters == 0 {
+	if !runnable(body, iters) {
 		return nil, Utilization{}
 	}
 	total := len(body) * iters
 	events := make([]IssueEvent, total)
 	var util Utilization
-	last := p.scheduleCore(body, iters, events, &util)
+	s := p.newCore(body, iters, events, &util)
+	s.run()
+	last := s.last
 	util.Cycles = last
 	util.Instructions = total
 	if last > 0 {
