@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet baselines check fuzz-cfg fuzz-purity fuzz-sched fuzz-report bench benchgate benchrecord gobench figures smoke
+.PHONY: build test race vet baselines check fuzz-cfg fuzz-purity fuzz-sched fuzz-report fuzz-predict bench benchgate benchrecord gobench figures smoke
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,12 @@ fuzz-sched:
 # seeded with the 18 KB baseline) would take the whole run.
 fuzz-report:
 	$(GO) test ./internal/bench -run '^$$' -fuzz=FuzzLoadReport -fuzztime=30s -fuzzminimizetime=100x
+
+# Short fuzz pass over POST /v1/predict: any body must get 200, 400, 404
+# or 413, never a 5xx or a panic, and every 200 body must be the exact
+# bytes of the direct explain.Predict answer.
+fuzz-predict:
+	$(GO) test ./internal/serve -run '^$$' -fuzz=FuzzPredict -fuzztime=30s
 
 # Run the registered workloads through the orchestrator and store
 # BENCH_ookami.json (warmup + repeats, CoV interference gate, bootstrap

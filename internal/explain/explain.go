@@ -39,13 +39,17 @@ func FindLoop(name string) (toolchain.Loop, bool) {
 }
 
 // profiledMachines lists the machines with instruction-level scheduling
-// profiles — the ones Explain and Predict can answer for.
-var profiledMachines = []machine.Machine{
-	machine.A64FX,
-	machine.SkylakeGold6140,
-	machine.SkylakeGold6130,
-	machine.StampedeSKX,
-}
+// profiles — the ones Explain and Predict can answer for — in
+// machine.All order.
+var profiledMachines = func() []machine.Machine {
+	var out []machine.Machine
+	for _, m := range machine.All {
+		if _, ok := perfmodel.ProfileFor(m.Name); ok {
+			out = append(out, m)
+		}
+	}
+	return out
+}()
 
 // MachineByName resolves a profiled machine by name, case-insensitively.
 //

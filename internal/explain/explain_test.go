@@ -51,18 +51,18 @@ func TestExplainRejectsBadCombination(t *testing.T) {
 	}
 }
 
-// ExecFor is the one application-pricing path: the serve API passes
-// MathCost, the figures an engine-memoized equal map.
+// ExecFor is the one application-pricing path: the serve API prices the
+// math loops by direct compiles, the figures by engine-memoized queries.
 func TestExecForMatchesDirectDerivation(t *testing.T) {
 	for _, tc := range toolchain.OnA64FX {
-		e := ExecFor(tc, machine.A64FX, 0.8, MathCost(tc, machine.A64FX))
+		e := ExecFor(tc, machine.A64FX, 0.8, MathCost(machine.A64FX, compiledCycles(tc, machine.A64FX)))
 		if e.CyclesPerFlop <= 0 || math.IsNaN(e.CyclesPerFlop) {
 			t.Errorf("%s: bad CyclesPerFlop %v", tc.Name, e.CyclesPerFlop)
 		}
 		if e.Placement != tc.Placement {
 			t.Errorf("%s: placement %v, want %v", tc.Name, e.Placement, tc.Placement)
 		}
-		mc := MathCost(tc, machine.A64FX)
+		mc := MathCost(machine.A64FX, compiledCycles(tc, machine.A64FX))
 		if len(mc) != 6 {
 			t.Errorf("%s: math cost has %d entries, want 6", tc.Name, len(mc))
 		}

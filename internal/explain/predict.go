@@ -279,28 +279,13 @@ func predictLoop(tc toolchain.Toolchain, l toolchain.Loop, m machine.Machine, th
 	}, nil
 }
 
-// predictApp models an NPB application at class C through the node-level
-// model — the same evaluation figures.NPBTime performs, with the
-// component terms kept.
+// predictApp models an NPB application at class C through AppTime — the
+// evaluation figures.NPBTime performs — pricing its math loops by direct
+// compiles, with the component terms kept.
 func predictApp(tc toolchain.Toolchain, name string, m machine.Machine, threads int) Prediction {
 	st, _ := npb.StatsByName(name, npb.ClassC)
-	app := st.AppProfile(name)
-	exec := ExecFor(tc, m, st.VecFrac, MathCost(tc, m))
-	parts := perfmodel.NodeTimeBreakdown(m, app, exec, threads)
-	total := parts.Total()
-	if st.TouchChurn > 0.3 && threads > 1 {
-		// Irregular dynamically-scheduled loops: the OpenMP-runtime
-		// penalty the paper observed for Fujitsu and ARM on UA. The
-		// penalty multiplies the combined total first — bit-identical to
-		// figures.NPBTime — then the displayed parts.
-		pen := IrregularPenalty(tc)
-		total *= pen
-		parts.Serial *= pen
-		parts.Parallel *= pen
-		parts.Memory *= pen
-		parts.Sync *= pen
-	}
-	pt := roofline.Place(m, app)
+	parts, total := AppTime(tc, m, name, st, threads, compiledCycles(tc, m))
+	pt := roofline.Place(m, st.AppProfile(name))
 	return Prediction{
 		Kind:           "app",
 		Kernel:         name,

@@ -162,7 +162,7 @@ func ChainLatencyAblation() *stats.Table {
 		mod := st
 		mod.ChainFrac = st.ChainFrac * float64(lat) / 9.0
 		mod.StreamBytes, mod.StridedBytes, mod.RandomBytes = 1, 1, 1
-		exec := explain.ExecFor(toolchain.Fujitsu, machine.A64FX, st.VecFrac, mathCostFor(toolchain.Fujitsu, machine.A64FX))
+		exec := explain.ExecFor(toolchain.Fujitsu, machine.A64FX, st.VecFrac, explain.MathCost(machine.A64FX, engineCycles(toolchain.Fujitsu, machine.A64FX)))
 		t.AddNumericRow(fmt.Sprintf("%d", lat),
 			perfmodel.NodeTime(machine.A64FX, mod.AppProfile("SP"), exec, 1))
 	}

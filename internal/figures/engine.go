@@ -1,6 +1,10 @@
 package figures
 
-import "ookami/internal/parexec"
+import (
+	"ookami/internal/machine"
+	"ookami/internal/parexec"
+	"ookami/internal/toolchain"
+)
 
 // engine is the certified simulation engine behind the generators: every
 // model query they repeat goes through its memo. The engine only
@@ -25,3 +29,11 @@ func SetEngine(eng *parexec.Engine) {
 
 // ActiveEngine returns the installed engine (never nil).
 func ActiveEngine() *parexec.Engine { return engine }
+
+// engineCycles prices tc's loops on m through the engine's memo: the
+// loop-cycles source the generators hand to explain.MathCost and
+// explain.AppTime, so every NPB and LULESH point that shares a
+// (toolchain, machine) pair compiles and schedules its math loops once.
+func engineCycles(tc toolchain.Toolchain, m machine.Machine) func(toolchain.Loop) float64 {
+	return func(l toolchain.Loop) float64 { return engine.LoopCycles(tc, l, m) }
+}

@@ -36,7 +36,9 @@ func generateAll(eng *parexec.Engine) map[string]string {
 
 // TestEngineOutputsBitIdentical regenerates every artifact on an engine
 // that already holds every answer: the second pass must be all memo hits
-// and reproduce the cold pass byte for byte.
+// and reproduce the cold pass byte for byte. The cold pass must also fit
+// the memo's one bound with nothing evicted, so a figure working set that
+// outgrows it fails here instead of silently re-scheduling.
 func TestEngineOutputsBitIdentical(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	eng := parexec.NewSerial()
@@ -44,6 +46,9 @@ func TestEngineOutputsBitIdentical(t *testing.T) {
 	first := eng.MemoMetrics()
 	if first.Hits == 0 || first.Misses == 0 {
 		t.Fatalf("cold pass memo metrics %+v: the engine is not wired in", first)
+	}
+	if first.Evictions != 0 || first.Size != first.Misses {
+		t.Fatalf("cold pass outgrew the memo bound: %+v", first)
 	}
 	warm := generateAll(eng)
 	second := eng.MemoMetrics()
@@ -69,8 +74,8 @@ func TestSetEngineNilInstallsFreshEngine(t *testing.T) {
 	if eng == nil || eng == old {
 		t.Fatalf("SetEngine(nil) installed %p (previous %p), want a fresh engine", eng, old)
 	}
-	if mm := eng.MemoMetrics(); mm != (parexec.MemoMetrics{}) {
-		t.Fatalf("fresh engine memo metrics %+v, want zero", mm)
+	if mm := eng.MemoMetrics(); mm.Hits != 0 || mm.Misses != 0 || mm.Size != 0 || mm.Evictions != 0 {
+		t.Fatalf("fresh engine memo metrics %+v, want empty", mm)
 	}
 	if r := RelativeRuntime(toolchain.Fujitsu, toolchain.LoopSimple); !(r > 0) {
 		t.Fatalf("generation on the fresh engine gave %v", r)

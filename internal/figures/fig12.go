@@ -2,6 +2,7 @@ package figures
 
 import (
 	"ookami/internal/machine"
+	"ookami/internal/perfmodel"
 	"ookami/internal/stats"
 	"ookami/internal/toolchain"
 )
@@ -13,14 +14,15 @@ const loopElements = 1 << 20
 
 // RelativeRuntime computes the Figure 1/2 metric for one loop and
 // toolchain: modeled A64FX runtime divided by the Intel-on-Skylake
-// runtime.
-// Both modeled runtimes go through the engine's certified LoopRuntime
-// query, so repeated (toolchain, loop, machine) tuples — the
-// Intel/Skylake denominator is shared by every row — come from the memo
-// cache.
+// runtime. Each runtime is the engine's certified LoopCycles query
+// scaled by the machine profile's SecondsFor, so repeated (toolchain,
+// loop, machine) tuples — the Intel/Skylake denominator is shared by
+// every row — come from the memo cache.
 func RelativeRuntime(tc toolchain.Toolchain, l toolchain.Loop) float64 {
-	a := engine.LoopRuntime(tc, l, machine.A64FX, loopElements)
-	i := engine.LoopRuntime(toolchain.Intel, l, machine.SkylakeGold6140, loopElements)
+	a64, _ := perfmodel.ProfileFor(machine.A64FX.Name)
+	skx, _ := perfmodel.ProfileFor(machine.SkylakeGold6140.Name)
+	a := a64.SecondsFor(engine.LoopCycles(tc, l, machine.A64FX), loopElements)
+	i := skx.SecondsFor(engine.LoopCycles(toolchain.Intel, l, machine.SkylakeGold6140), loopElements)
 	return a / i
 }
 

@@ -18,21 +18,15 @@ import (
 var npbOrder = []string{"BT", "CG", "EP", "LU", "SP", "UA"}
 
 // NPBTime models the runtime of one NPB application (class C) with a
-// toolchain on a machine at the given thread count. Placement can be
+// toolchain on a machine at the given thread count, through
+// explain.AppTime on engine-memoized loop cycles. Placement can be
 // overridden to model the fujitsu-first-touch experiment.
 func NPBTime(app npb.Benchmark, tc toolchain.Toolchain, m machine.Machine, threads int, firstTouch bool) float64 {
-	st := app.Characterize(npb.ClassC)
-	exec := explain.ExecFor(tc, m, st.VecFrac, mathCostFor(tc, m))
 	if firstTouch {
-		exec.Placement = perfmodel.FirstTouch
+		// The experiment moves the pages, not the compiled code.
+		tc.Placement = perfmodel.FirstTouch
 	}
-	t := perfmodel.NodeTime(m, st.AppProfile(app.Name()), exec, threads)
-	if st.TouchChurn > 0.3 && threads > 1 {
-		// Irregular dynamically-scheduled loops: the OpenMP-runtime
-		// penalty the paper observed for Fujitsu and ARM on UA — the
-		// residual deviance that first-touch could not repair.
-		t *= explain.IrregularPenalty(tc)
-	}
+	_, t := explain.AppTime(tc, m, app.Name(), app.Characterize(npb.ClassC), threads, engineCycles(tc, m))
 	return t
 }
 

@@ -1,3 +1,10 @@
+// Package figures regenerates every table and figure of the paper's
+// evaluation: the vector-loop suite (Figs. 1-2), the Section IV
+// exponential study, the NPB results (Figs. 3-6), the LULESH timings
+// (Table II / Fig. 7), the system table (Table III) and the HPCC results
+// (Figs. 8-9). Each generator returns a stats.Table that can be rendered
+// as text or CSV, and the package's tests assert the paper's qualitative
+// shape for each one.
 package figures
 
 import "ookami/internal/stats"

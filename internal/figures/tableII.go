@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"ookami/internal/explain"
 	"ookami/internal/lulesh"
 	"ookami/internal/machine"
 	"ookami/internal/perfmodel"
@@ -57,7 +58,7 @@ func LuleshTime(tc toolchain.Toolchain, m machine.Machine, v lulesh.Variant, thr
 	app := lulesh.AppProfile(v, luleshN, luleshSteps)
 	exec := perfmodel.ExecParams{
 		CyclesPerFlop: 1 / luleshFlopsPerCycle(m, v, tc),
-		MathCost:      mathCostFor(tc, m),
+		MathCost:      explain.MathCost(m, engineCycles(tc, m)),
 		Placement:     perfmodel.FirstTouch, // LULESH initializes in parallel
 		BarrierCycles: 3500,
 	}

@@ -25,7 +25,6 @@ type Cert struct {
 var Dispatch = map[string]Cert{
 	"explain.Predict":            {Pkg: "internal/explain", Func: "Predict"},
 	"toolchain.CyclesPerElement": {Pkg: "internal/toolchain", Func: "CompiledLoop.CyclesPerElement"},
-	"toolchain.RuntimeSeconds":   {Pkg: "internal/toolchain", Func: "CompiledLoop.RuntimeSeconds"},
 }
 
 // certify panics unless entry is in the dispatch table. It is called on

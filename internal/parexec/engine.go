@@ -26,8 +26,9 @@ type Engine struct {
 	memo Memo
 }
 
-// NewSerial returns an engine with an empty, unbounded memo: queries run
-// inline on the caller's goroutine and repeated queries hit the cache.
+// NewSerial returns an engine with an empty memo: queries run inline on
+// the caller's goroutine, repeated queries hit the cache, and the cache
+// keeps at most 4096 entries, least recently used out first.
 func NewSerial() *Engine {
 	return &Engine{}
 }
@@ -35,14 +36,6 @@ func NewSerial() *Engine {
 // Close releases the engine. The engine owns no goroutines, so there is
 // nothing to join; Close exists so callers can defer it unconditionally.
 func (e *Engine) Close() {}
-
-// SetMemoCapacity bounds the engine's result cache to n entries with LRU
-// eviction (n <= 0 keeps it unbounded). Must be called before the first
-// query; it is how the server keeps a heavy-traffic cache from growing
-// with uptime while figure generation keeps the unbounded default.
-func (e *Engine) SetMemoCapacity(n int) {
-	e.memo.SetCapacity(n)
-}
 
 // MemoMetrics snapshots the memo cache's full counter set (hits, misses,
 // evictions, size, capacity).
@@ -73,15 +66,4 @@ func (e *Engine) LoopCycles(tc toolchain.Toolchain, l toolchain.Loop, m machine.
 		return tc.Compile(l, m).CyclesPerElement(prof)
 	})
 	return v.(float64)
-}
-
-// LoopRuntime is the modeled runtime of the compiled loop over n elements
-// on m's profile — LoopCycles scaled by the certified SecondsFor.
-func (e *Engine) LoopRuntime(tc toolchain.Toolchain, l toolchain.Loop, m machine.Machine, n int) float64 {
-	prof, ok := perfmodel.ProfileFor(m.Name)
-	if !ok {
-		return math.NaN()
-	}
-	certify("toolchain.RuntimeSeconds")
-	return prof.SecondsFor(e.LoopCycles(tc, l, m), n)
 }

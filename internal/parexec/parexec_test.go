@@ -119,8 +119,7 @@ func TestMemoPanicDoesNotPoison(t *testing.T) {
 }
 
 func TestMemoBoundedLRUEvicts(t *testing.T) {
-	var m Memo
-	m.SetCapacity(2)
+	m := Memo{cap: 2}
 	calls := map[string]int{}
 	get := func(k string) any {
 		return m.Do(k, func() any { calls[k]++; return k })
@@ -147,8 +146,7 @@ func TestMemoBoundedLRUEvicts(t *testing.T) {
 // "N concurrent identical queries, 1 compute" coalescing guarantee.
 func TestMemoBoundedKeepsInFlight(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
-	var m Memo
-	m.SetCapacity(1)
+	m := Memo{cap: 1}
 	release := make(chan struct{})
 	var slowCalls, waiters int32
 	var wg sync.WaitGroup
@@ -186,21 +184,15 @@ func TestMemoBoundedKeepsInFlight(t *testing.T) {
 	}
 }
 
-func TestMemoSetCapacityPanicsWhenLive(t *testing.T) {
-	var m Memo
-	m.Do("k", func() any { return 1 })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetCapacity on a non-empty memo did not panic")
-		}
-	}()
-	m.SetCapacity(4)
-}
-
+// An engine's memo is bounded by memoCap; shrinking the bound shows the
+// engine's queries evicting through it.
 func TestEngineMemoCapacityMetrics(t *testing.T) {
 	e := NewSerial()
 	defer e.Close()
-	e.SetMemoCapacity(2)
+	if mm := e.MemoMetrics(); mm.Cap != memoCap {
+		t.Fatalf("fresh engine capacity %d, want %d", mm.Cap, memoCap)
+	}
+	e.memo.cap = 2
 	for _, l := range []toolchain.Loop{toolchain.LoopSimple, toolchain.LoopGather, toolchain.LoopScatter} {
 		e.LoopCycles(toolchain.Fujitsu, l, machine.A64FX)
 	}
@@ -258,21 +250,5 @@ func TestEngineMemoHits(t *testing.T) {
 	}
 	if mm := e.MemoMetrics(); mm.Hits != 1 || mm.Misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", mm.Hits, mm.Misses)
-	}
-}
-
-func TestLoopRuntimeMatchesCompiled(t *testing.T) {
-	e := NewSerial()
-	defer e.Close()
-	const n = 1 << 20
-	prof, _ := perfmodel.ProfileFor(machine.A64FX.Name)
-	for _, tc := range toolchain.OnA64FX {
-		for _, l := range toolchain.SimpleLoops {
-			want := tc.Compile(l, machine.A64FX).RuntimeSeconds(prof, n)
-			got := e.LoopRuntime(tc, l, machine.A64FX, n)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s/%s: runtime %v != direct %v", tc.Name, l, got, want)
-			}
-		}
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"ookami/internal/explain"
 	"ookami/internal/testutil"
 )
 
@@ -54,52 +52,6 @@ func TestPredictCoalescesConcurrentIdenticalQueries(t *testing.T) {
 	}
 	if mm.Hits != callers-1 {
 		t.Errorf("hits = %d, want %d", mm.Hits, callers-1)
-	}
-}
-
-// Concurrent distinct queries against a tiny cache: every response must
-// still be byte-identical to the library call while the LRU evicts
-// underneath, and the cache must end bounded.
-func TestPredictCacheEvictionUnderConcurrency(t *testing.T) {
-	testutil.CheckGoroutineLeak(t)
-	s := newTestServer(t, Config{CacheCapacity: 4})
-	loops := []string{"simple", "predicate", "gather", "scatter", "recip", "sqrt", "exp", "sin", "pow"}
-	tcs := []string{"Fujitsu", "ARM", "GNU", "Cray"}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				req := explain.Request{
-					Kernel:    loops[(worker+i)%len(loops)],
-					Toolchain: tcs[i%len(tcs)],
-					Threads:   1 + i%4,
-				}
-				p, err := explain.Predict(req)
-				if err != nil {
-					t.Errorf("direct %+v: %v", req, err)
-					return
-				}
-				want, _ := json.Marshal(p)
-				body, _ := json.Marshal(req)
-				rec := do(s, "POST", "/v1/predict", string(body), nil)
-				if rec.Code != 200 || rec.Body.String() != string(want) {
-					t.Errorf("worker %d req %+v: status %d, identical=%v",
-						worker, req, rec.Code, rec.Body.String() == string(want))
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	mm := s.CacheMetrics()
-	if mm.Evictions == 0 {
-		t.Errorf("no evictions despite %d distinct keys through a cap-%d cache: %+v",
-			len(loops)*len(tcs)*4, mm.Cap, mm)
-	}
-	if mm.Size > mm.Cap {
-		t.Errorf("cache ended above capacity with no queries in flight: %+v", mm)
 	}
 }
 

@@ -23,11 +23,6 @@ import (
 // Config tunes a Server. The zero value is usable: every field has a
 // default chosen for an interactive deployment.
 type Config struct {
-	// CacheCapacity bounds the prediction cache (entries). 0 selects the
-	// default; negative disables the bound (unbounded memo — figure
-	// generation semantics, not recommended for a public server).
-	CacheCapacity int
-
 	// Rate is the per-tenant steady request rate (requests/second) on
 	// the /v1/ endpoints; Burst is the token-bucket depth. Rate 0
 	// selects the default, negative disables rate limiting.
@@ -53,12 +48,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CacheCapacity == 0 {
-		c.CacheCapacity = 4096
-	}
-	if c.CacheCapacity < 0 {
-		c.CacheCapacity = 0 // unbounded memo
-	}
 	if c.Rate == 0 {
 		c.Rate = 50
 	}
@@ -104,7 +93,6 @@ func New(cfg Config) *Server {
 		engine:  parexec.NewSerial(),
 		metrics: newMetrics(),
 	}
-	s.engine.SetMemoCapacity(cfg.CacheCapacity)
 	if cfg.Rate > 0 {
 		s.limiter = newLimiter(cfg.Rate, cfg.Burst, cfg.MaxTenants, cfg.Now)
 	}

@@ -188,11 +188,3 @@ func (c CompiledLoop) CyclesPerElement(p *perfmodel.Profile) float64 {
 	}
 	return p.CyclesPerElement(c.Body, c.ElemsPerIter)
 }
-
-// RuntimeSeconds is the modeled runtime over n elements at the profile's
-// clock.
-//
-//ookami:pure
-func (c CompiledLoop) RuntimeSeconds(p *perfmodel.Profile, n int) float64 {
-	return p.SecondsFor(c.CyclesPerElement(p), n)
-}

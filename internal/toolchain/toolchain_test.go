@@ -30,8 +30,9 @@ func skxProfile(t *testing.T) *perfmodel.Profile {
 func relToIntel(t *testing.T, tc Toolchain, l Loop) float64 {
 	t.Helper()
 	const n = 1 << 20
-	a := tc.Compile(l, machine.A64FX).RuntimeSeconds(a64Profile(t), n)
-	i := Intel.Compile(l, machine.SkylakeGold6140).RuntimeSeconds(skxProfile(t), n)
+	a64, skx := a64Profile(t), skxProfile(t)
+	a := a64.SecondsFor(tc.Compile(l, machine.A64FX).CyclesPerElement(a64), n)
+	i := skx.SecondsFor(Intel.Compile(l, machine.SkylakeGold6140).CyclesPerElement(skx), n)
 	return a / i
 }
 
