@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet baselines check fuzz-cfg fuzz-purity fuzz-sched fuzz-report fuzz-predict bench benchgate benchrecord gobench figures smoke
+.PHONY: build test race vet baselines check fuzz-cfg fuzz-purity fuzz-sched fuzz-report fuzz-predict fuzz-vmath bench benchgate benchrecord gobench figures smoke
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,12 @@ fuzz-report:
 # bytes of the direct explain.Predict answer.
 fuzz-predict:
 	$(GO) test ./internal/serve -run '^$$' -fuzz=FuzzPredict -fuzztime=30s
+
+# Short fuzz pass over the vector math library: on any function, inputs
+# and slice length, every lane kernel must give the bits of its
+# per-register SVE reference (NaN compared as NaN).
+fuzz-vmath:
+	$(GO) test ./internal/vmath -run '^$$' -fuzz=FuzzVmathMatchesRegisterRef -fuzztime=30s
 
 # Run the registered workloads through the orchestrator and store
 # BENCH_ookami.json (warmup + repeats, CoV interference gate, bootstrap

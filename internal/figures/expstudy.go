@@ -73,26 +73,36 @@ func KernelCycles(ks KernelStructure, form toolchain.PolyShape) float64 {
 // expStudySamples is the sample count of the study's accuracy row.
 const expStudySamples = 200000
 
-// ulpInputs draws the seeded sample of the permissible input range
-// (-700, 700) that MeasuredUlp evaluates.
-func ulpInputs(samples int) []float64 {
+// ulpBlock is how many samples of the accuracy row are held at a time.
+const ulpBlock = 1024
+
+// eachUlpBlock draws the seeded sample of the permissible input range
+// (-700, 700) that MeasuredUlp evaluates and hands it to fn in order, in
+// blocks of at most ulpBlock inputs. The block is reused between calls.
+func eachUlpBlock(samples int, fn func(xs []float64)) {
 	rng := rand.New(rand.NewSource(271828))
-	xs := make([]float64, samples)
-	for i := range xs {
-		xs[i] = rng.Float64()*1400 - 700
+	var buf [ulpBlock]float64
+	for done := 0; done < samples; done += ulpBlock {
+		xs := buf[:min(ulpBlock, samples-done)]
+		for i := range xs {
+			xs[i] = rng.Float64()*1400 - 700
+		}
+		fn(xs)
 	}
-	return xs
 }
 
 // MeasuredUlp runs the real vmath FEXPA kernel over the permissible input
 // range and returns its maximum ULP error (the paper: "about 6 ulp").
 func MeasuredUlp(form vmath.PolyForm, samples int) float64 {
-	xs := ulpInputs(samples)
-	got := make([]float64, samples)
-	want := make([]float64, samples)
-	vmath.Exp(got, xs, form)
-	vmath.ExpSerial(want, xs)
-	return vmath.MaxUlp(got, want)
+	var got, want [ulpBlock]float64
+	worst := 0.0
+	eachUlpBlock(samples, func(xs []float64) {
+		g, w := got[:len(xs)], want[:len(xs)]
+		vmath.Exp(g, xs, form)
+		vmath.ExpSerial(w, xs)
+		worst = max(worst, vmath.MaxUlp(g, w))
+	})
+	return worst
 }
 
 // ExpStudy renders the full Section IV table.

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"ookami/internal/stats"
@@ -82,23 +83,58 @@ func portableExpMulti(hi, lo float64, k int) float64 {
 }
 
 func TestMeasuredUlpWithinPaperBoundOnPortableExp(t *testing.T) {
-	xs := ulpInputs(expStudySamples)
-	got := make([]float64, len(xs))
-	vmath.Exp(got, xs, vmath.Horner)
-	want := make([]float64, len(xs))
-	differ := 0
-	for i, x := range xs {
-		want[i] = portableExp(x)
-		if want[i] != math.Exp(x) {
-			differ++
+	portable, n, differ := 0.0, 0, 0
+	eachUlpBlock(expStudySamples, func(xs []float64) {
+		got := make([]float64, len(xs))
+		vmath.Exp(got, xs, vmath.Horner)
+		want := make([]float64, len(xs))
+		for i, x := range xs {
+			want[i] = portableExp(x)
+			if want[i] != math.Exp(x) {
+				differ++
+			}
 		}
+		portable = max(portable, vmath.MaxUlp(got, want))
+		n += len(xs)
+	})
+	if n != expStudySamples {
+		t.Fatalf("the sample stream drew %d inputs, want %d", n, expStudySamples)
 	}
-	portable := vmath.MaxUlp(got, want)
 	host := MeasuredUlp(vmath.Horner, expStudySamples)
 	t.Logf("math.Exp differs from the portable exp on %d of %d samples; max ulp %s against the portable exp, %s against math.Exp",
-		differ, len(xs), stats.Format3(portable), stats.Format3(host))
+		differ, n, stats.Format3(portable), stats.Format3(host))
 	// "Limited testing suggests that it yields about 6 ulp precision."
 	if portable > 6 {
 		t.Errorf("max ulp against the portable exp is %s, beyond the paper's ~6", stats.Format3(portable))
+	}
+}
+
+// TestMeasuredUlpStreamsTheWholeSample checks that the block-wise running
+// maximum equals MaxUlp over the whole sample evaluated at once.
+func TestMeasuredUlpStreamsTheWholeSample(t *testing.T) {
+	const samples = 3*ulpBlock + 17 // a ragged last block
+	var xs []float64
+	eachUlpBlock(samples, func(block []float64) { xs = append(xs, block...) })
+	if len(xs) != samples {
+		t.Fatalf("the sample stream drew %d inputs, want %d", len(xs), samples)
+	}
+	got := make([]float64, samples)
+	want := make([]float64, samples)
+	vmath.Exp(got, xs, vmath.Horner)
+	vmath.ExpSerial(want, xs)
+	if whole, streamed := vmath.MaxUlp(got, want), MeasuredUlp(vmath.Horner, samples); streamed != whole {
+		t.Errorf("streamed max ulp %v, whole-sample max ulp %v", streamed, whole)
+	}
+}
+
+// TestMeasuredUlpAllocatesUnder64KiB pins the accuracy row's memory: the
+// 200,000-sample row must not hold its sample in memory.
+func TestMeasuredUlpAllocatesUnder64KiB(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	MeasuredUlp(vmath.Horner, expStudySamples)
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+		t.Errorf("MeasuredUlp allocated %d bytes per call, want under 64 KiB", d)
 	}
 }

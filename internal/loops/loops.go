@@ -151,16 +151,17 @@ func ScatterSVE(y, x []float64, idx []int64) {
 func RecipSVE(y, x []float64) { vmath.RecipNewton(y, x) }
 
 // SqrtSVE: y[i] = sqrt(|x[i]|) via Newton iteration (abs keeps the suite's
-// inputs in domain).
+// inputs in domain). The sanitised input is written to y and the kernel
+// runs in place; v < 0 rather than math.Abs keeps -0 as -0.
 func SqrtSVE(y, x []float64) {
-	tmp := make([]float64, len(x))
+	y = y[:len(x)]
 	for i, v := range x {
 		if v < 0 {
 			v = -v
 		}
-		tmp[i] = v
+		y[i] = v
 	}
-	vmath.SqrtNewton(y, tmp)
+	vmath.SqrtNewton(y, y)
 }
 
 // ExpSVE: y[i] = exp(x[i]) via the FEXPA kernel.
@@ -169,9 +170,10 @@ func ExpSVE(y, x []float64) { vmath.Exp(y, x, vmath.Horner) }
 // SinSVE: y[i] = sin(x[i]).
 func SinSVE(y, x []float64) { vmath.Sin(y, x) }
 
-// PowSVE: y[i] = |x[i]|^p[i].
+// PowSVE: y[i] = |x[i]|^p[i], with 0 raised as 1e-9. The sanitised base
+// is written to y and the kernel runs in place.
 func PowSVE(y, x, pw []float64) {
-	tmp := make([]float64, len(x))
+	y = y[:len(x)]
 	for i, v := range x {
 		if v < 0 {
 			v = -v
@@ -179,7 +181,7 @@ func PowSVE(y, x, pw []float64) {
 		if v == 0 {
 			v = 1e-9
 		}
-		tmp[i] = v
+		y[i] = v
 	}
-	vmath.Pow(y, tmp, pw)
+	vmath.Pow(y, y, pw)
 }

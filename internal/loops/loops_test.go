@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ookami/internal/vmath"
 )
 
 func TestWorkloadShapes(t *testing.T) {
@@ -180,5 +182,47 @@ func TestWindowPermutationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSqrtPowSVEInPlace checks that SqrtSVE and PowSVE, which run their
+// kernels in place on y, allocate nothing and give the bits of the
+// kernels run out of place on a sanitised copy (-0 stays -0 for sqrt;
+// a zero base is raised as 1e-9).
+func TestSqrtPowSVEInPlace(t *testing.T) {
+	w := NewWorkload(1001, 7)
+	x := append([]float64{0, math.Copysign(0, -1), -4, math.Inf(-1)}, w.X...)
+	p := append([]float64{2, 3, 0.5, 1}, w.P...)
+	abs, base := make([]float64, len(x)), make([]float64, len(x))
+	for i, v := range x {
+		if v < 0 {
+			v = -v
+		}
+		abs[i] = v
+		if v == 0 {
+			v = 1e-9
+		}
+		base[i] = v
+	}
+	y, want := make([]float64, len(x)), make([]float64, len(x))
+	SqrtSVE(y, x)
+	vmath.SqrtNewton(want, abs)
+	for i := range y {
+		if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("sqrt[%d] = %v, out of place %v", i, y[i], want[i])
+		}
+	}
+	PowSVE(y, x, p)
+	vmath.Pow(want, base, p)
+	for i := range y {
+		if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("pow[%d] = %v, out of place %v", i, y[i], want[i])
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { SqrtSVE(y, x) }); a != 0 {
+		t.Errorf("SqrtSVE: %v allocations per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(10, func() { PowSVE(y, x, p) }); a != 0 {
+		t.Errorf("PowSVE: %v allocations per call, want 0", a)
 	}
 }

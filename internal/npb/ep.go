@@ -70,10 +70,12 @@ func (e *EP) RunFull(c Class, team *omp.Team) EPOutput {
 	parts := make([]partial, nChunks)
 	team.ForRange(0, nChunks, omp.Static, 0, func(a, b int) {
 		for chunk := a; chunk < b; chunk++ {
-			p := &parts[chunk]
 			// Position an independent generator at this chunk's offset:
-			// each pair consumes two numbers.
+			// each pair consumes two numbers. The sums stay in locals
+			// and the chunk's partial is written once.
 			g := rng.At(rng.DefaultSeed, 2*uint64(chunk)*pairsPerChunk)
+			var sx, sy, pairs float64
+			var q [10]float64
 			for i := uint64(0); i < pairsPerChunk; i++ {
 				x := 2*g.Next() - 1
 				y := 2*g.Next() - 1
@@ -83,15 +85,18 @@ func (e *EP) RunFull(c Class, team *omp.Team) EPOutput {
 				}
 				f := math.Sqrt(-2 * math.Log(t) / t)
 				gx, gy := x*f, y*f
-				l := int(math.Max(math.Abs(gx), math.Abs(gy)))
+				// Both are non-negative after Abs, so max truncates to
+				// the same annulus as math.Max.
+				l := int(max(math.Abs(gx), math.Abs(gy)))
 				if l > 9 {
 					l = 9
 				}
-				p.q[l]++
-				p.sx += gx
-				p.sy += gy
-				p.pairs++
+				q[l]++
+				sx += gx
+				sy += gy
+				pairs++
 			}
+			parts[chunk] = partial{sx: sx, sy: sy, q: q, pairs: pairs}
 		}
 	})
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ookami/internal/omp"
+	"ookami/internal/rng"
 )
 
 func team(n int) *omp.Team { return omp.NewTeam(n) }
@@ -550,5 +551,80 @@ func TestMat5Ops(t *testing.T) {
 	v := c.MulVec(Vec5{1, 2, 3, 4, 5})
 	if v[2] != 27 {
 		t.Errorf("MulVec: %v", v)
+	}
+}
+
+// epReference is EP's chunk loop before it kept its sums in locals: each
+// pair updates the chunk's partial through a pointer, and the annulus
+// comes from math.Max.
+func epReference(c Class, tm *omp.Team) EPOutput {
+	nPairs := uint64(1) << epM(c)
+	nChunks := int(nPairs >> epChunkLog)
+	if nChunks == 0 {
+		nChunks = 1
+	}
+	pairsPerChunk := nPairs / uint64(nChunks)
+	type partial struct {
+		sx, sy float64
+		q      [10]float64
+		pairs  float64
+	}
+	parts := make([]partial, nChunks)
+	tm.ForRange(0, nChunks, omp.Static, 0, func(a, b int) {
+		for chunk := a; chunk < b; chunk++ {
+			p := &parts[chunk]
+			g := rng.At(rng.DefaultSeed, 2*uint64(chunk)*pairsPerChunk)
+			for i := uint64(0); i < pairsPerChunk; i++ {
+				x := 2*g.Next() - 1
+				y := 2*g.Next() - 1
+				t := x*x + y*y
+				if t > 1 {
+					continue
+				}
+				f := math.Sqrt(-2 * math.Log(t) / t)
+				gx, gy := x*f, y*f
+				l := int(math.Max(math.Abs(gx), math.Abs(gy)))
+				if l > 9 {
+					l = 9
+				}
+				p.q[l]++
+				p.sx += gx
+				p.sy += gy
+				p.pairs++
+			}
+		}
+	})
+	var out EPOutput
+	for i := range parts {
+		out.SX += parts[i].sx
+		out.SY += parts[i].sy
+		out.Pairs += parts[i].pairs
+		for l := 0; l < 10; l++ {
+			out.Q[l] += parts[i].q[l]
+		}
+	}
+	return out
+}
+
+// TestEPMatchesReferenceLoop holds EP's chunk loop to the bits of
+// epReference at classes S and W on 1, 2 and 4 threads.
+func TestEPMatchesReferenceLoop(t *testing.T) {
+	classes := []Class{ClassS, ClassW}
+	if testing.Short() {
+		classes = classes[:1]
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, c := range classes {
+		want := epReference(c, team(1))
+		for _, n := range []int{1, 2, 4} {
+			got := NewEP().RunFull(c, team(n))
+			ok := same(got.SX, want.SX) && same(got.SY, want.SY) && same(got.Pairs, want.Pairs)
+			for l := range got.Q {
+				ok = ok && same(got.Q[l], want.Q[l])
+			}
+			if !ok {
+				t.Errorf("class %v, %d threads: %+v, reference loop %+v", c, n, got, want)
+			}
+		}
 	}
 }

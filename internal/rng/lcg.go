@@ -32,14 +32,11 @@ func NewLCG(seed uint64) *LCG {
 	return &LCG{state: seed & lcgMask}
 }
 
-// mul46 computes (a*b) mod 2^46. uint64 multiplication overflows for
-// 46-bit operands, so split as NPB's randlc does (23+23 bits).
+// mul46 computes (a*b) mod 2^46. uint64 multiplication wraps mod 2^64,
+// and 2^46 divides 2^64, so masking the wrapped product is exact — the
+// 23+23-bit split NPB's floating-point randlc needs is unnecessary here.
 func mul46(a, b uint64) uint64 {
-	const half = 1 << 23
-	a1, a2 := a/half, a%half
-	b1, b2 := b/half, b%half
-	t := (a1*b2 + a2*b1) % (1 << 23) // high cross terms mod 2^23
-	return (t*half + a2*b2) & lcgMask
+	return (a * b) & lcgMask
 }
 
 // Next advances the state once and returns a uniform double in (0, 1),

@@ -166,3 +166,31 @@ func TestSplitMixUniformity(t *testing.T) {
 		}
 	}
 }
+
+// mul46Split is the 23+23-bit split multiply of NPB's floating-point
+// randlc, which mul46 replaced.
+func mul46Split(a, b uint64) uint64 {
+	const half = 1 << 23
+	a1, a2 := a/half, a%half
+	b1, b2 := b/half, b%half
+	t := (a1*b2 + a2*b1) % (1 << 23)
+	return (t*half + a2*b2) & lcgMask
+}
+
+func TestMul46MatchesSplitMultiply(t *testing.T) {
+	f := func(a, b uint64) bool {
+		a &= lcgMask
+		b &= lcgMask
+		return mul46(a, b) == mul46Split(a, b)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
+		t.Error(err)
+	}
+	for _, a := range []uint64{0, 1, lcgA, lcgMask, lcgMask - 1, 1 << 45, 1<<23 - 1, 1 << 23} {
+		for _, b := range []uint64{0, 1, lcgA, lcgMask, DefaultSeed, 1 << 45} {
+			if got, want := mul46(a, b), mul46Split(a, b); got != want {
+				t.Errorf("mul46(%d, %d) = %d, split multiply %d", a, b, got, want)
+			}
+		}
+	}
+}

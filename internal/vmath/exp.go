@@ -34,12 +34,11 @@ const (
 // expPoly5 holds the 5-term Taylor coefficients of exp(r) beyond the
 // constant: exp(r) = 1 + r + r²/2 + r³/6 + r⁴/24 + r⁵/120. With
 // |r| < log2/128 the truncation error is below 2^-54.
-var expPoly5 = []float64{1, 1, 1.0 / 2, 1.0 / 6, 1.0 / 24, 1.0 / 120}
+var expPoly5 = [...]float64{1, 1, 1.0 / 2, 1.0 / 6, 1.0 / 24, 1.0 / 120}
 
 // expPoly13 holds the 13-term series used by the "ported generic"
 // implementation that reduces only to |r| < log2/2 (no FEXPA).
-var expPoly13 = func() []float64 {
-	c := make([]float64, 14)
+var expPoly13 = func() (c [14]float64) {
 	f := 1.0
 	for i := range c {
 		if i > 0 {
@@ -50,29 +49,22 @@ var expPoly13 = func() []float64 {
 	return c
 }()
 
-// fexpaOperand extracts the FEXPA operand bits from the shifted quotient
-// z and applies the top-of-range fix the paper alludes to ("additional
-// mask manipulation is necessary" near the edges): when the biased
-// exponent field would saturate at 2047 (x in the last log2/64-wide
-// window below log(MaxFloat64), where m = 1024), the operand is reduced
-// by one octave (subtract 64) and the caller doubles the result — both
-// steps exact, keeping the kernel correct all the way to the true
-// overflow threshold. Returns the operand vector and the lanes to double.
-func fexpaOperand(p sve.Pred, z sve.F64) (sve.U64, sve.Pred) {
-	var u sve.U64
-	var double sve.Pred
-	for l := range u {
-		if !p[l] {
-			continue
-		}
-		bits := math.Float64bits(z[l])
-		if bits>>6&0x7FF == 0x7FF {
-			bits -= 64
-			double[l] = true
-		}
-		u[l] = bits
+// fexpaScale builds the FEXPA scale for one lane from the shifted
+// quotient z and applies the top-of-range fix the paper alludes to
+// ("additional mask manipulation is necessary" near the edges): when the
+// biased exponent field would saturate at 2047 (x in the last
+// log2/64-wide window below log(MaxFloat64), where m = 1024), the operand
+// is reduced by one octave (subtract 64) and the caller doubles the
+// result — both steps exact, keeping the kernel correct all the way to
+// the true overflow threshold. Returns 2^(m+i/64) (or half of it) and
+// whether to double.
+func fexpaScale(z float64) (scale float64, double bool) {
+	bits := math.Float64bits(z)
+	if bits>>6&0x7FF == 0x7FF {
+		bits -= 64
+		double = true
 	}
-	return u, double
+	return sve.FexpaScalar(bits), double
 }
 
 // PolyForm selects how the exp kernel evaluates its polynomial.
@@ -86,90 +78,55 @@ const (
 	Estrin
 )
 
-// expVec computes exp for one vector of active lanes using FEXPA.
-func expVec(p sve.Pred, x sve.F64, form PolyForm) sve.F64 {
+// expLane computes exp for one lane with FEXPA: the instruction sequence
+// of one SVE vector iteration, applied to a single element.
+func expLane(x float64, form PolyForm) float64 {
 	// z = x/ (ln2/64) + shift; its low 17 bits are the FEXPA operand and
 	// z - shift is the rounded quotient n = 64m + i as a float.
-	z := sve.Fma(p, sve.Dup(expShift), x, sve.Dup(invLn2x64))
-	u, double := fexpaOperand(p, z)
-	scale := sve.Fexpa(p, u)
-	n := sve.Sub(p, z, sve.Dup(expShift))
+	z := math.FMA(x, invLn2x64, expShift)
+	scale, double := fexpaScale(z)
+	n := z - expShift
 	// r = x - n*ln2/64 in two steps (Cody–Waite).
-	r := sve.Fms(p, x, n, sve.Dup(ln2by64Hi))
-	r = sve.Fms(p, r, n, sve.Dup(ln2by64Lo))
-	var poly sve.F64
+	r := math.FMA(-n, ln2by64Hi, x)
+	r = math.FMA(-n, ln2by64Lo, r)
+	var poly float64
 	if form == Estrin {
-		poly = PolyEstrin(p, r, expPoly5)
+		poly = estrin6(r, &expPoly5)
 	} else {
-		poly = PolyHorner(p, r, expPoly5)
+		poly = horner(r, expPoly5[:])
 	}
-	res := sve.Mul(p, scale, poly)
-	res = sve.Sel(double, sve.Add(p, res, res), res)
-	// Out-of-range fixup (the "additional mask manipulation" the paper
-	// notes a production implementation needs).
-	over := sve.CmpGT(p, x, sve.Dup(expMax))
-	under := sve.CmpLT(p, x, sve.Dup(expMin))
-	res = sve.Sel(over, sve.Dup(math.Inf(1)), res)
-	res = sve.Sel(under, sve.Dup(0), res)
-	for l := range res {
-		if p[l] && math.IsNaN(x[l]) {
-			res[l] = math.NaN()
-		}
+	res := float64(scale * poly)
+	if double {
+		res += res
+	}
+	return expFixup(x, res)
+}
+
+// expFixup applies the out-of-range fixup (the "additional mask
+// manipulation" the paper notes a production implementation needs):
+// saturate above expMax and below expMin, propagate NaN.
+func expFixup(x, res float64) float64 {
+	switch {
+	case x > expMax:
+		return math.Inf(1)
+	case x < expMin:
+		return 0
+	case math.IsNaN(x):
+		return math.NaN()
 	}
 	return res
 }
 
 // Exp computes dst[i] = exp(src[i]) with the FEXPA kernel in the given
-// polynomial form, using the canonical SVE vector-length-agnostic loop
-// (whilelt-governed, predicated tail). dst and src must be equal length.
+// polynomial form. dst and src must be equal length; dst may be src,
+// since element i reads only src[i].
 //
 //ookami:pure fills only the caller-owned dst
 func Exp(dst, src []float64, form PolyForm) {
 	checkLen(dst, src)
-	for base := 0; base < len(src); base += sve.VL {
-		p := sve.WhileLT(base, len(src))
-		x := sve.Load(src, base, p)
-		sve.Store(dst, base, p, expVec(p, x, form))
-	}
-}
-
-// ExpFixedWidth is the fixed-register-width variant: the bulk of the data
-// is processed with an unconditional all-true predicate (no whilelt/ptest
-// per iteration) and only the tail is predicated. Numerically identical to
-// Exp; on hardware it saves ~0.2 cycles/element of loop control.
-func ExpFixedWidth(dst, src []float64, form PolyForm) {
-	checkLen(dst, src)
-	n := len(src)
-	full := n / sve.VL * sve.VL
-	pt := sve.AllTrue
-	for base := 0; base < full; base += sve.VL {
-		x := sve.Load(src, base, pt)
-		sve.Store(dst, base, pt, expVec(pt, x, form))
-	}
-	if full < n {
-		p := sve.WhileLT(full, n)
-		x := sve.Load(src, full, p)
-		sve.Store(dst, full, p, expVec(p, x, form))
-	}
-}
-
-// ExpUnrolled processes two vectors per iteration (2x unroll), the variant
-// the paper measured at 1.9 cycles/element. Numerically identical.
-func ExpUnrolled(dst, src []float64, form PolyForm) {
-	checkLen(dst, src)
-	n := len(src)
-	pt := sve.AllTrue
-	base := 0
-	for ; base+2*sve.VL <= n; base += 2 * sve.VL {
-		x0 := sve.Load(src, base, pt)
-		x1 := sve.Load(src, base+sve.VL, pt)
-		sve.Store(dst, base, pt, expVec(pt, x0, form))
-		sve.Store(dst, base+sve.VL, pt, expVec(pt, x1, form))
-	}
-	for ; base < n; base += sve.VL {
-		p := sve.WhileLT(base, n)
-		x := sve.Load(src, base, p)
-		sve.Store(dst, base, p, expVec(p, x, form))
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = expLane(x, form)
 	}
 }
 
@@ -179,38 +136,23 @@ func ExpUnrolled(dst, src []float64, form PolyForm) {
 // FEXPA entirely — the paper's hypothesis for the ARM/Cray performance gap.
 func ExpPortedGeneric(dst, src []float64) {
 	checkLen(dst, src)
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = expPortedLane(x)
+	}
+}
+
+func expPortedLane(x float64) float64 {
 	const invLn2 = 1 / math.Ln2
 	const ln2Hi = 6.93147180369123816490e-01
 	const ln2Lo = 1.90821492927058770002e-10
 	const shift = 1.5 * (1 << 52)
-	for base := 0; base < len(src); base += sve.VL {
-		p := sve.WhileLT(base, len(src))
-		x := sve.Load(src, base, p)
-		z := sve.Fma(p, sve.Dup(shift), x, sve.Dup(invLn2))
-		n := sve.Sub(p, z, sve.Dup(shift))
-		r := sve.Fms(p, x, n, sve.Dup(ln2Hi))
-		r = sve.Fms(p, r, n, sve.Dup(ln2Lo))
-		poly := PolyHorner(p, r, expPoly13)
-		// Scale by 2^m: build the power of two from the exponent field.
-		var res sve.F64
-		for l := range res {
-			if !p[l] {
-				continue
-			}
-			m := int64(n[l])
-			switch {
-			case x[l] > expMax:
-				res[l] = math.Inf(1)
-			case x[l] < expMin:
-				res[l] = 0
-			case math.IsNaN(x[l]):
-				res[l] = math.NaN()
-			default:
-				res[l] = poly[l] * twoPow(m)
-			}
-		}
-		sve.Store(dst, base, p, res)
-	}
+	z := math.FMA(x, invLn2, shift)
+	n := z - shift
+	r := math.FMA(-n, ln2Hi, x)
+	r = math.FMA(-n, ln2Lo, r)
+	// Scale by 2^m: build the power of two from the exponent field.
+	return expFixup(x, float64(horner(r, expPoly13[:])*twoPow(int64(n))))
 }
 
 // twoPow returns 2^m by exponent-field construction for the range the

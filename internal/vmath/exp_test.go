@@ -70,26 +70,6 @@ func TestExpEdgeCases(t *testing.T) {
 	}
 }
 
-func TestExpVariantsAgreeExactly(t *testing.T) {
-	// Fixed-width and unrolled restructurings must be bit-identical to the
-	// VLA loop: same instructions, different control flow.
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 7, 8, 9, 16, 17, 63, 64, 100} {
-		xs := randRange(rng, -600, 600, n)
-		a := make([]float64, n)
-		b := make([]float64, n)
-		c := make([]float64, n)
-		Exp(a, xs, Horner)
-		ExpFixedWidth(b, xs, Horner)
-		ExpUnrolled(c, xs, Horner)
-		for i := range xs {
-			if a[i] != b[i] || a[i] != c[i] {
-				t.Fatalf("n=%d i=%d: variants disagree: %v %v %v", n, i, a[i], b[i], c[i])
-			}
-		}
-	}
-}
-
 func TestExpHornerVsEstrinClose(t *testing.T) {
 	// The two polynomial forms round differently but must stay within a
 	// couple of ulp of each other.

@@ -1,10 +1,6 @@
 package vmath
 
-import (
-	"math"
-
-	"ookami/internal/sve"
-)
+import "math"
 
 // ExpCorrected is the refinement Section IV sketches: "better [accuracy]
 // is possible without compromising speed too much (an estimated 0.25
@@ -18,37 +14,28 @@ import (
 // pipes, exactly the paper's estimate.
 func ExpCorrected(dst, src []float64) {
 	checkLen(dst, src)
-	for base := 0; base < len(src); base += sve.VL {
-		p := sve.WhileLT(base, len(src))
-		x := sve.Load(src, base, p)
-		sve.Store(dst, base, p, expCorrectedVec(p, x))
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = expCorrectedLane(x)
 	}
 }
 
-func expCorrectedVec(p sve.Pred, x sve.F64) sve.F64 {
-	z := sve.Fma(p, sve.Dup(expShift), x, sve.Dup(invLn2x64))
-	u, double := fexpaOperand(p, z)
-	scale := sve.Fexpa(p, u)
-	n := sve.Sub(p, z, sve.Dup(expShift))
-	r := sve.Fms(p, x, n, sve.Dup(ln2by64Hi))
-	r = sve.Fms(p, r, n, sve.Dup(ln2by64Lo))
+func expCorrectedLane(x float64) float64 {
+	z := math.FMA(x, invLn2x64, expShift)
+	scale, double := fexpaScale(z)
+	n := z - expShift
+	r := math.FMA(-n, ln2by64Hi, x)
+	r = math.FMA(-n, ln2by64Lo, r)
 	// Evaluate the polynomial without its constant term: q = exp(r) - 1.
 	// q is O(r) ~ 2^-7, so the final combination scale + scale*q keeps
 	// the scale's full precision instead of rounding it into the product.
-	q := PolyHorner(p, r, expPoly5[1:]) // 1 + r/2 + r^2/6 + ...
-	q = sve.Mul(p, q, r)                // r + r^2/2 + ... = exp(r) - 1
+	q := horner(r, expPoly5[1:]) // 1 + r/2 + r^2/6 + ...
+	q = float64(q * r)           // r + r^2/2 + ... = exp(r) - 1
 	// Corrected last step: res = scale + scale*q via FMA — one rounding
 	// for the product-and-add instead of two.
-	res := sve.Fma(p, scale, scale, q)
-	res = sve.Sel(double, sve.Add(p, res, res), res)
-	over := sve.CmpGT(p, x, sve.Dup(expMax))
-	under := sve.CmpLT(p, x, sve.Dup(expMin))
-	res = sve.Sel(over, sve.Dup(math.Inf(1)), res)
-	res = sve.Sel(under, sve.Dup(0), res)
-	for l := range res {
-		if p[l] && math.IsNaN(x[l]) {
-			res[l] = math.NaN()
-		}
+	res := math.FMA(scale, q, scale)
+	if double {
+		res += res
 	}
-	return res
+	return expFixup(x, res)
 }

@@ -1,10 +1,6 @@
 package vmath
 
-import (
-	"math"
-
-	"ookami/internal/sve"
-)
+import "math"
 
 // Log computes dst[i] = ln(src[i]) vector-wise: log2 via the mantissa
 // decomposition kernel, scaled by ln 2 with a compensated product to keep
@@ -13,19 +9,21 @@ import (
 //ookami:pure fills only the caller-owned dst
 func Log(dst, src []float64) {
 	checkLen(dst, src)
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = logLane(x)
+	}
+}
+
+func logLane(x float64) float64 {
 	const (
 		ln2Hi = 6.93147180369123816490e-01
 		ln2Lo = 1.90821492927058770002e-10
 	)
-	for base := 0; base < len(src); base += sve.VL {
-		p := sve.WhileLT(base, len(src))
-		x := sve.Load(src, base, p)
-		l2 := log2Vec(p, x)
-		// ln x = log2(x)*ln2, split product for accuracy.
-		hi := sve.Mul(p, l2, sve.Dup(ln2Hi))
-		res := sve.Fma(p, hi, l2, sve.Dup(ln2Lo))
-		sve.Store(dst, base, p, res)
-	}
+	l2 := log2Lane(x)
+	// ln x = log2(x)*ln2, split product for accuracy.
+	hi := float64(l2 * ln2Hi)
+	return math.FMA(l2, ln2Lo, hi)
 }
 
 // LogSerial is the per-element libm path.
@@ -41,10 +39,9 @@ func LogSerial(dst, src []float64) {
 // units, which is exactly FEXPA's native domain).
 func Exp2(dst, src []float64) {
 	checkLen(dst, src)
-	for base := 0; base < len(src); base += sve.VL {
-		p := sve.WhileLT(base, len(src))
-		t := sve.Load(src, base, p)
-		sve.Store(dst, base, p, exp2Core(p, t))
+	dst = dst[:len(src)]
+	for i, t := range src {
+		dst[i] = exp2Lane(t)
 	}
 }
 
@@ -53,55 +50,23 @@ func Exp2(dst, src []float64) {
 // number rather than the (range-reduced) argument, so no accuracy is lost.
 func Cos(dst, src []float64) {
 	checkLen(dst, src)
-	for base := 0; base < len(src); base += sve.VL {
-		p := sve.WhileLT(base, len(src))
-		x := sve.Load(src, base, p)
-		sve.Store(dst, base, p, cosVec(p, x))
+	dst = dst[:len(src)]
+	for i, x := range src {
+		n, r := sinReduce(x)
+		dst[i] = sinQuadrant(x, n+1, r)
 	}
-}
-
-func cosVec(p sve.Pred, x sve.F64) sve.F64 {
-	z := sve.Fma(p, sve.Dup(sinShift), x, sve.Dup(twoOverPi))
-	n := sve.Sub(p, z, sve.Dup(sinShift))
-	r := sve.Fms(p, x, n, sve.Dup(pio2Hi))
-	r = sve.Fms(p, r, n, sve.Dup(pio2Lo))
-	r2 := sve.Mul(p, r, r)
-	sinR := sve.Mul(p, r, PolyHorner(p, r2, sinPoly))
-	cosR := PolyHorner(p, r2, cosPoly)
-	var res sve.F64
-	for l := range res {
-		if !p[l] {
-			continue
-		}
-		if math.IsNaN(x[l]) || math.IsInf(x[l], 0) {
-			res[l] = math.NaN()
-			continue
-		}
-		// cos quadrant = sin quadrant + 1.
-		switch (int64(n[l]) + 1) & 3 {
-		case 0:
-			res[l] = sinR[l]
-		case 1:
-			res[l] = cosR[l]
-		case 2:
-			res[l] = -sinR[l]
-		default:
-			res[l] = -cosR[l]
-		}
-	}
-	return res
 }
 
 // SinCos computes both sine and cosine of each element in one pass,
-// sharing the range reduction and both polynomials — the form molecular-
-// dynamics inner loops want.
+// sharing the range reduction — the form molecular-dynamics inner loops
+// want.
 func SinCos(sinDst, cosDst, src []float64) {
 	checkLen(sinDst, src)
 	checkLen(cosDst, src)
-	for base := 0; base < len(src); base += sve.VL {
-		p := sve.WhileLT(base, len(src))
-		x := sve.Load(src, base, p)
-		sve.Store(sinDst, base, p, sinVec(p, x))
-		sve.Store(cosDst, base, p, cosVec(p, x))
+	sinDst, cosDst = sinDst[:len(src)], cosDst[:len(src)]
+	for i, x := range src {
+		n, r := sinReduce(x)
+		sinDst[i] = sinQuadrant(x, n, r)
+		cosDst[i] = sinQuadrant(x, n+1, r)
 	}
 }

@@ -1,57 +1,30 @@
 package vmath
 
-import "ookami/internal/sve"
+import "math"
 
-// PolyHorner evaluates the polynomial with the given coefficients
-// (constant term first) at each lane of r using Horner's rule:
-// c0 + r*(c1 + r*(c2 + ...)). The chain is one long dependency, which is
-// what makes it latency-bound on A64FX's 9-cycle FMA.
-func PolyHorner(p sve.Pred, r sve.F64, coef []float64) sve.F64 {
-	if len(coef) == 0 {
-		return sve.F64{}
-	}
-	acc := sve.Dup(coef[len(coef)-1])
+// horner evaluates the polynomial with the given coefficients (constant
+// term first) at r using Horner's rule: c0 + r*(c1 + r*(c2 + ...)), one
+// fused multiply-add per step. The chain is one long dependency, which is
+// what makes it latency-bound on A64FX's 9-cycle FMA. coef must not be
+// empty.
+func horner(r float64, coef []float64) float64 {
+	acc := coef[len(coef)-1]
 	for i := len(coef) - 2; i >= 0; i-- {
-		acc = sve.Fma(p, sve.Dup(coef[i]), acc, r)
+		acc = math.FMA(acc, r, coef[i])
 	}
 	return acc
 }
 
-// PolyEstrin evaluates the same polynomial in Estrin form: pairs are
+// estrin6 evaluates the same 6-term polynomial in Estrin form: pairs are
 // combined with r, then pairs of pairs with r², exposing log-depth
 // parallelism at the cost of extra multiplications — the trade the paper
-// found "slightly faster" on A64FX.
-func PolyEstrin(p sve.Pred, r sve.F64, coef []float64) sve.F64 {
-	n := len(coef)
-	if n == 0 {
-		return sve.F64{}
-	}
-	// Work in a fixed-size scratch (allocation-free for the polynomial
-	// degrees vector math uses; falls back to the heap beyond that).
-	var scratch [16]sve.F64
-	var level []sve.F64
-	if n <= len(scratch) {
-		level = scratch[:n]
-	} else {
-		level = make([]sve.F64, n)
-	}
-	for i, c := range coef {
-		level[i] = sve.Dup(c)
-	}
-	x := r
-	for len(level) > 1 {
-		m := 0
-		for i := 0; i+1 < len(level); i += 2 {
-			// level[i] + x*level[i+1], written back in place.
-			level[m] = sve.Fma(p, level[i], level[i+1], x)
-			m++
-		}
-		if len(level)%2 == 1 {
-			level[m] = level[len(level)-1]
-			m++
-		}
-		level = level[:m]
-		x = sve.Mul(p, x, x)
-	}
-	return level[0]
+// found "slightly faster" on A64FX. The pairing tree and FMA order are
+// those of the general Estrin scheme for six terms.
+func estrin6(r float64, c *[6]float64) float64 {
+	r2 := float64(r * r)
+	r4 := float64(r2 * r2)
+	p01 := math.FMA(c[1], r, c[0])
+	p23 := math.FMA(c[3], r, c[2])
+	p45 := math.FMA(c[5], r, c[4])
+	return math.FMA(p45, r4, math.FMA(p23, r2, p01))
 }

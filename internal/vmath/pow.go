@@ -12,11 +12,10 @@ import (
 // vector libraries in the paper's Figure 2 use (the correctly rounded
 // serial pow is far slower, which is the point of the comparison).
 
-var log2Poly = func() []float64 {
+var log2Poly = func() (c [7]float64) {
 	// log(m) = 2*atanh(s), s=(m-1)/(m+1): 2*(s + s^3/3 + ... + s^13/13),
 	// converted to log2 by 1/ln2. Coefficients on s^2 with overall factor
 	// handled in the kernel: c[k] = 2/(ln2*(2k+1)).
-	c := make([]float64, 7)
 	for k := range c {
 		c[k] = 2 / (math.Ln2 * float64(2*k+1))
 	}
@@ -27,111 +26,83 @@ var log2Poly = func() []float64 {
 // non-positive and non-finite lanes get the IEEE results (-Inf, NaN, +Inf).
 func Log2(dst, src []float64) {
 	checkLen(dst, src)
-	for base := 0; base < len(src); base += sve.VL {
-		p := sve.WhileLT(base, len(src))
-		x := sve.Load(src, base, p)
-		sve.Store(dst, base, p, log2Vec(p, x))
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = log2Lane(x)
 	}
 }
 
-func log2Vec(p sve.Pred, x sve.F64) sve.F64 {
-	var res sve.F64
-	var m sve.F64
-	var k sve.F64
-	for l := range x {
-		if !p[l] {
-			continue
-		}
-		// Decompose x = 2^k * m with m in [sqrt(1/2), sqrt(2)).
-		fr, e := math.Frexp(x[l]) // fr in [0.5, 1)
-		if fr < math.Sqrt2/2 {
-			fr *= 2
-			e--
-		}
-		m[l] = fr
-		k[l] = float64(e)
+func log2Lane(x float64) float64 {
+	switch {
+	case x == 0:
+		return math.Inf(-1)
+	case x < 0 || math.IsNaN(x):
+		return math.NaN()
+	case math.IsInf(x, 1):
+		return math.Inf(1)
+	}
+	// Decompose x = 2^k * m with m in [sqrt(1/2), sqrt(2)).
+	m, e := math.Frexp(x) // m in [0.5, 1)
+	if m < math.Sqrt2/2 {
+		m *= 2
+		e--
 	}
 	// s = (m-1)/(m+1), computed with a Newton reciprocal (no FDIV).
-	num := sve.Sub(p, m, sve.Dup(1))
-	den := sve.Add(p, m, sve.Dup(1))
-	inv := sve.Recpe(p, den)
+	num := m - 1
+	den := m + 1
+	inv := sve.RecpeScalar(den)
 	for step := 0; step < 3; step++ {
-		inv = sve.Mul(p, inv, sve.Recps(p, den, inv))
+		inv = float64(inv * math.FMA(-den, inv, 2))
 	}
-	s := sve.Mul(p, num, inv)
-	s2 := sve.Mul(p, s, s)
-	poly := PolyHorner(p, s2, log2Poly)
-	res = sve.Fma(p, k, s, poly) // k + s*poly
-	for l := range res {
-		if !p[l] {
-			continue
-		}
-		switch {
-		case x[l] == 0:
-			res[l] = math.Inf(-1)
-		case x[l] < 0 || math.IsNaN(x[l]):
-			res[l] = math.NaN()
-		case math.IsInf(x[l], 1):
-			res[l] = math.Inf(1)
-		}
-	}
-	return res
+	s := float64(num * inv)
+	s2 := float64(s * s)
+	return math.FMA(s, horner(s2, log2Poly[:]), float64(e)) // k + s*poly
 }
 
 // Pow computes dst[i] = xs[i]^ys[i] lane-wise for positive bases using
-// 2^(y*log2 x) with the FEXPA scale path.
+// 2^(y*log2 x) with the FEXPA scale path. dst may be xs or ys, since
+// element i reads only xs[i] and ys[i].
 //
 //ookami:pure fills only the caller-owned dst
 func Pow(dst, xs, ys []float64) {
 	checkLen(dst, xs)
 	checkLen(dst, ys)
-	for base := 0; base < len(xs); base += sve.VL {
-		p := sve.WhileLT(base, len(xs))
-		x := sve.Load(xs, base, p)
-		y := sve.Load(ys, base, p)
-		t := sve.Mul(p, y, log2Vec(p, x)) // t = y*log2(x)
-		res := exp2Core(p, t)
-		// IEEE corner cases the fast path cannot represent: defer to libm.
-		for l := range res {
-			if !p[l] {
-				continue
-			}
-			switch {
-			case math.IsNaN(x[l]) || math.IsNaN(y[l]) || x[l] < 0,
-				x[l] == 0 || math.IsInf(x[l], 0) || math.IsInf(y[l], 0):
-				res[l] = math.Pow(x[l], y[l])
-			}
-		}
-		sve.Store(dst, base, p, res)
+	dst, ys = dst[:len(xs)], ys[:len(xs)]
+	for i, x := range xs {
+		dst[i] = powLane(x, ys[i])
 	}
 }
 
-// exp2Core computes 2^t via FEXPA: n = round(64 t), r = (t - n/64)*ln2,
+func powLane(x, y float64) float64 {
+	// IEEE corner cases the fast path cannot represent: defer to libm.
+	if math.IsNaN(x) || math.IsNaN(y) || x < 0 ||
+		x == 0 || math.IsInf(x, 0) || math.IsInf(y, 0) {
+		return math.Pow(x, y)
+	}
+	return exp2Lane(float64(y * log2Lane(x))) // 2^(y*log2(x))
+}
+
+// exp2Lane computes 2^t via FEXPA: n = round(64 t), r = (t - n/64)*ln2,
 // 5-term series, scale by FEXPA(n + bias<<6). Saturation fixups against t
-// are included; NaN propagates through the arithmetic.
-func exp2Core(p sve.Pred, t sve.F64) sve.F64 {
-	z := sve.Fma(p, sve.Dup(expShift), t, sve.Dup(64))
-	u, double := fexpaOperand(p, z)
-	scale := sve.Fexpa(p, u)
-	n := sve.Sub(p, z, sve.Dup(expShift))
+// are included.
+func exp2Lane(t float64) float64 {
+	switch {
+	case math.IsNaN(t):
+		return math.NaN()
+	case t >= 1023.98: // FEXPA's biased exponent saturates at 2046
+		return math.Inf(1)
+	case t <= -1021: // subnormal range: flush to zero
+		return 0
+	}
+	z := math.FMA(t, 64, expShift)
+	scale, double := fexpaScale(z)
+	n := z - expShift
 	// r = (t - n/64) * ln2; t - n/64 is exact (n/64 has the same spacing).
-	r := sve.Fms(p, t, n, sve.Dup(1.0/64))
-	r = sve.Mul(p, r, sve.Dup(math.Ln2))
-	poly := PolyHorner(p, r, expPoly5)
-	res := sve.Mul(p, scale, poly)
-	res = sve.Sel(double, sve.Add(p, res, res), res)
-	for l := range res {
-		if !p[l] {
-			continue
-		}
-		switch {
-		case math.IsNaN(t[l]):
-			res[l] = math.NaN()
-		case t[l] >= 1023.98: // FEXPA's biased exponent saturates at 2046
-			res[l] = math.Inf(1)
-		case t[l] <= -1021: // subnormal range: flush to zero
-			res[l] = 0
-		}
+	r := math.FMA(-n, 1.0/64, t)
+	r = float64(r * math.Ln2)
+	res := float64(scale * horner(r, expPoly5[:]))
+	if double {
+		res += res
 	}
 	return res
 }

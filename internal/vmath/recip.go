@@ -16,31 +16,28 @@ import (
 // though both compilers "fully vectorized" the loop.
 
 // RecipNewton computes dst[i] = 1/src[i] via FRECPE + 3 Newton steps
-// (8 -> 16 -> 32 -> 64 bits of precision).
+// (8 -> 16 -> 32 -> 64 bits of precision). dst may be src, since element
+// i reads only src[i].
 //
 //ookami:pure fills only the caller-owned dst
 func RecipNewton(dst, src []float64) {
 	checkLen(dst, src)
-	for base := 0; base < len(src); base += sve.VL {
-		// The predicate is all-true for every full vector; only the
-		// ragged tail needs whilelt.
-		p := sve.AllTrue
-		if base+sve.VL > len(src) {
-			p = sve.WhileLT(base, len(src))
-		}
-		d := sve.Load(src, base, p)
-		x := sve.Recpe(p, d)
-		for step := 0; step < 3; step++ {
-			x = sve.Mul(p, x, sve.Recps(p, d, x))
-		}
-		// Fix the IEEE edge cases the estimate path misses.
-		for l := range x {
-			if p[l] && (d[l] == 0 || math.IsInf(d[l], 0) || math.IsNaN(d[l])) {
-				x[l] = 1 / d[l]
-			}
-		}
-		sve.Store(dst, base, p, x)
+	dst = dst[:len(src)]
+	for i, d := range src {
+		dst[i] = recipLane(d)
 	}
+}
+
+func recipLane(d float64) float64 {
+	// Fix the IEEE edge cases the estimate path misses.
+	if d == 0 || math.IsInf(d, 0) || math.IsNaN(d) {
+		return 1 / d
+	}
+	x := sve.RecpeScalar(d)
+	for step := 0; step < 3; step++ {
+		x = float64(x * math.FMA(-d, x, 2))
+	}
+	return x
 }
 
 // RecipDiv computes dst[i] = 1/src[i] with the blocking FDIV instruction,
@@ -52,33 +49,31 @@ func RecipDiv(dst, src []float64) {
 
 // SqrtNewton computes dst[i] = sqrt(src[i]) as x*rsqrt(x) with FRSQRTE +
 // 3 Newton steps — the non-blocking algorithm Cray and Fujitsu select.
+// dst may be src, since element i reads only src[i].
 //
 //ookami:pure fills only the caller-owned dst
 func SqrtNewton(dst, src []float64) {
 	checkLen(dst, src)
-	for base := 0; base < len(src); base += sve.VL {
-		p := sve.AllTrue
-		if base+sve.VL > len(src) {
-			p = sve.WhileLT(base, len(src))
-		}
-		d := sve.Load(src, base, p)
-		x := sve.Rsqrte(p, d)
-		for step := 0; step < 3; step++ {
-			dx := sve.Mul(p, d, x)
-			x = sve.Mul(p, x, sve.Rsqrts(p, dx, x))
-		}
-		s := sve.Mul(p, d, x) // sqrt(d) = d * rsqrt(d)
-		// One final correction keeps the result within 1 ulp:
-		// s' = s + 0.5*x*(d - s*s).
-		e := sve.Fms(p, d, s, s)
-		s = sve.Fma(p, s, sve.Mul(p, sve.Dup(0.5), x), e)
-		for l := range s {
-			if p[l] && (d[l] == 0 || math.IsInf(d[l], 1) || math.IsNaN(d[l]) || d[l] < 0) {
-				s[l] = math.Sqrt(d[l])
-			}
-		}
-		sve.Store(dst, base, p, s)
+	dst = dst[:len(src)]
+	for i, d := range src {
+		dst[i] = sqrtLane(d)
 	}
+}
+
+func sqrtLane(d float64) float64 {
+	if d == 0 || math.IsInf(d, 1) || math.IsNaN(d) || d < 0 {
+		return math.Sqrt(d)
+	}
+	x := sve.RsqrteScalar(d)
+	for step := 0; step < 3; step++ {
+		dx := float64(d * x)
+		x = float64(x * float64(math.FMA(-dx, x, 3)*0.5))
+	}
+	s := float64(d * x) // sqrt(d) = d * rsqrt(d)
+	// One final correction keeps the result within 1 ulp:
+	// s' = s + 0.5*x*(d - s*s).
+	e := math.FMA(-s, s, d)
+	return math.FMA(float64(0.5*x), e, s)
 }
 
 // SqrtBlocking computes dst[i] = sqrt(src[i]) with the FSQRT instruction —

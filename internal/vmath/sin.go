@@ -1,10 +1,6 @@
 package vmath
 
-import (
-	"math"
-
-	"ookami/internal/sve"
-)
+import "math"
 
 // Vectorized sine with the classical Payne–Hanek-lite reduction: quadrant
 // n = round(x*2/pi), r = x - n*pi/2 via a two-part Cody–Waite split, then
@@ -20,7 +16,7 @@ const (
 	sinShift  = 1.5 * (1 << 52)
 )
 
-var sinPoly = []float64{
+var sinPoly = [...]float64{
 	1,
 	-1.66666666666666324348e-01,
 	8.33333333332248946124e-03,
@@ -30,7 +26,7 @@ var sinPoly = []float64{
 	1.58969099521155010221e-10,
 }
 
-var cosPoly = []float64{
+var cosPoly = [...]float64{
 	1,
 	-0.5,
 	4.16666666666666019037e-02,
@@ -46,46 +42,42 @@ var cosPoly = []float64{
 //ookami:pure fills only the caller-owned dst
 func Sin(dst, src []float64) {
 	checkLen(dst, src)
-	for base := 0; base < len(src); base += sve.VL {
-		p := sve.WhileLT(base, len(src))
-		x := sve.Load(src, base, p)
-		sve.Store(dst, base, p, sinVec(p, x))
+	dst = dst[:len(src)]
+	for i, x := range src {
+		n, r := sinReduce(x)
+		dst[i] = sinQuadrant(x, n, r)
 	}
 }
 
-func sinVec(p sve.Pred, x sve.F64) sve.F64 {
-	// n = round(x * 2/pi) via the shift trick.
-	z := sve.Fma(p, sve.Dup(sinShift), x, sve.Dup(twoOverPi))
-	n := sve.Sub(p, z, sve.Dup(sinShift))
-	// r = x - n*pi/2, two-step.
-	r := sve.Fms(p, x, n, sve.Dup(pio2Hi))
-	r = sve.Fms(p, r, n, sve.Dup(pio2Lo))
-	r2 := sve.Mul(p, r, r)
-	// sin(r) = r * P(r^2); cos(r) = Q(r^2). Both evaluated on all lanes,
-	// then selected by quadrant — the branch-free vector-library pattern.
-	sinR := sve.Mul(p, r, PolyHorner(p, r2, sinPoly))
-	cosR := PolyHorner(p, r2, cosPoly)
-	var res sve.F64
-	for l := range res {
-		if !p[l] {
-			continue
-		}
-		if math.IsNaN(x[l]) || math.IsInf(x[l], 0) {
-			res[l] = math.NaN()
-			continue
-		}
-		switch int64(n[l]) & 3 {
-		case 0:
-			res[l] = sinR[l]
-		case 1:
-			res[l] = cosR[l]
-		case 2:
-			res[l] = -sinR[l]
-		default:
-			res[l] = -cosR[l]
-		}
+// sinReduce returns the quadrant n = round(x * 2/pi), found with the
+// shift trick, and r = x - n*pi/2 in two Cody–Waite steps.
+func sinReduce(x float64) (n int64, r float64) {
+	z := math.FMA(x, twoOverPi, sinShift)
+	nf := z - sinShift
+	r = math.FMA(-nf, pio2Hi, x)
+	r = math.FMA(-nf, pio2Lo, r)
+	return int64(nf), r
+}
+
+// sinQuadrant returns sin(r + q*pi/2) for the reduced argument r of x:
+// sin(r) = r * P(r^2) or cos(r) = Q(r^2), signed by quadrant — the
+// per-lane selection a vector library does with predicates. Non-finite x
+// gives NaN.
+func sinQuadrant(x float64, q int64, r float64) float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return math.NaN()
 	}
-	return res
+	r2 := float64(r * r)
+	switch q & 3 {
+	case 0:
+		return float64(r * horner(r2, sinPoly[:]))
+	case 1:
+		return horner(r2, cosPoly[:])
+	case 2:
+		return -float64(r * horner(r2, sinPoly[:]))
+	default:
+		return -horner(r2, cosPoly[:])
+	}
 }
 
 // SinSerial is the per-element libm path (the GNU toolchain's only option

@@ -1,16 +1,25 @@
 // Package vmath is the vectorized math library the paper shows the
 // ARM+SVE GNU toolchain is missing. It provides slice-oriented exp, sin,
-// pow, reciprocal and square root built on the internal/sve emulation,
-// in the algorithmic variants the paper compares:
+// pow, reciprocal and square root built on the internal/sve instruction
+// semantics, in the algorithmic variants the paper compares:
 //
-//   - the FEXPA-accelerated exponential of Section IV (Horner, Estrin and
-//     unrolled forms) with its 5-term polynomial;
+//   - the FEXPA-accelerated exponential of Section IV (Horner and Estrin
+//     forms) with its 5-term polynomial;
 //   - a "ported generic" exponential (13-term, no FEXPA) standing in for
 //     math libraries ported from other platforms (ARM/Cray tiers);
 //   - Newton-iteration reciprocal and square root from the 8-bit hardware
 //     estimates (the Cray/Fujitsu choice) versus the blocking FSQRT/FDIV
 //     instructions (the GNU/ARM-20 choice the paper criticizes);
 //   - ULP measurement utilities used to verify the paper's ~6 ulp claim.
+//
+// Each kernel is a plain slice loop over one lane function, which runs
+// the instruction sequence of one SVE vector iteration on a single
+// element: math.FMA where the SVE code issues FMLA/FMLS, the sve
+// package's scalar FEXPA, FRECPE and FRSQRTE, and float64(a*b) where
+// the vector code rounds a product on its own, so no compiler may fuse
+// it. The per-register composition (whilelt loop, predicated Fma, Sel,
+// Store on 8-lane vectors) is kept in the package's tests as the
+// reference, and the lane kernels are held to its bits.
 package vmath
 
 import "math"
