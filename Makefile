@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet baselines check fuzz-cfg fuzz-purity fuzz-sched fuzz-report fuzz-predict fuzz-vmath bench benchgate benchrecord gobench figures smoke
+.PHONY: build test race vet baselines check fuzz-cfg fuzz-purity fuzz-sched fuzz-report fuzz-predict fuzz-vmath fuzz-npb bench benchgate benchrecord gobench figures smoke
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,14 @@ fuzz-predict:
 # per-register SVE reference (NaN compared as NaN).
 fuzz-vmath:
 	$(GO) test ./internal/vmath -run '^$$' -fuzz=FuzzVmathMatchesRegisterRef -fuzztime=30s
+
+# Short fuzz pass over NPB CG's sparse matrix-vector product: on any
+# small CSR matrix (ragged, empty and odd-count rows) and team size, the
+# two-rows-at-a-time SpMV must give the bits of the one-row loop.
+# Minimization is capped as in fuzz-report: at the default, minimizing
+# one new input stalled the run for most of its 30 s.
+fuzz-npb:
+	$(GO) test ./internal/npb -run '^$$' -fuzz=FuzzMulVecMatchesRowLoop -fuzztime=30s -fuzzminimizetime=100x
 
 # Run the registered workloads through the orchestrator and store
 # BENCH_ookami.json (warmup + repeats, CoV interference gate, bootstrap

@@ -3,7 +3,7 @@ package npb
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ookami/internal/omp"
 	"ookami/internal/rng"
@@ -57,17 +57,46 @@ type SparseMatrix struct {
 // NNZ returns the stored nonzero count.
 func (m *SparseMatrix) NNZ() int { return len(m.Values) }
 
-// MulVec computes y = A x in parallel over rows.
+// MulVec computes y = A x in parallel over rows. Each thread walks its
+// rows two at a time: both rows keep their own accumulator and sum in
+// column order, so the two add chains overlap and every y[i] has the
+// bits of the one-row loop. The longer row's tail, and an odd last row,
+// run alone.
 func (m *SparseMatrix) MulVec(team *omp.Team, y, x []float64) {
 	team.ForRange(0, m.N, omp.Static, 0, func(a, b int) {
-		for i := a; i < b; i++ {
-			s := 0.0
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				s += m.Values[k] * x[m.ColIdx[k]]
-			}
-			y[i] = s
+		rp, ci, vs := m.RowPtr, m.ColIdx, m.Values
+		i := a
+		for ; i+1 < b; i += 2 {
+			lo, mid, hi := rp[i], rp[i+1], rp[i+2]
+			k := min(mid-lo, hi-mid)
+			s0, s1 := rowPairSum(ci[lo:lo+k], vs[lo:lo+k], ci[mid:mid+k], vs[mid:mid+k], x)
+			y[i] = rowSum(s0, ci[lo+k:mid], vs[lo+k:mid], x)
+			y[i+1] = rowSum(s1, ci[mid+k:hi], vs[mid+k:hi], x)
+		}
+		if i < b {
+			y[i] = rowSum(0, ci[rp[i]:rp[i+1]], vs[rp[i]:rp[i+1]], x)
 		}
 	})
+}
+
+// rowPairSum sums two equal-length rows side by side, each from zero and
+// in column order.
+func rowPairSum(c0 []int, v0 []float64, c1 []int, v1, x []float64) (s0, s1 float64) {
+	v0, c1, v1 = v0[:len(c0)], c1[:len(c0)], v1[:len(c0)]
+	for j, c := range c0 {
+		s0 += v0[j] * x[c]
+		s1 += v1[j] * x[c1[j]]
+	}
+	return s0, s1
+}
+
+// rowSum adds the products v[j]*x[c[j]] to s in order.
+func rowSum(s float64, c []int, v, x []float64) float64 {
+	v = v[:len(c)]
+	for j, col := range c {
+		s += v[j] * x[col]
+	}
+	return s
 }
 
 // makea builds the synthetic SPD matrix: A = sum_i w_i x_i x_i^T + shift*I
@@ -75,83 +104,117 @@ func (m *SparseMatrix) MulVec(team *omp.Team, y, x []float64) {
 // [rcond, 1]. The assembled matrix has smallest eigenvalue ~shift and
 // largest ~shift + O(1), like NPB's generator.
 //
-//ookami:cold -- one-time matrix assembly, outside the timed region
+// The n vectors are drawn first and kept flat (positions, values, weight,
+// norm), with a row → slot index in vector order. Each row is then summed
+// in a dense scratch row, vector by vector. A vector holds each position
+// once, so every (r, c) gains at most one term per vector, and the
+// shift+1 diagonal comes last: each entry adds the same operands in the
+// same order as accumulating A term by term in vector order. ColIdx and
+// Values are sized exactly by a structure-only pass.
+//
+//ookami:cold -- matrix assembly: once per RunFull call (npb/cg-s times it), outside the solve loop
 func makea(n, nonzer int, shift float64, seed uint64) *SparseMatrix {
 	const rcond = 0.1
 	g := rng.NewLCG(seed)
-	// Accumulate entries in per-row maps (the assembly is setup, not the
-	// timed kernel).
-	rows := make([]map[int]float64, n)
-	for i := range rows {
-		rows[i] = make(map[int]float64, 2*nonzer)
-	}
+	// Vector i owns slots vec[i]..vec[i+1] of pos and val.
+	vec := make([]int, n+1)
+	pos := make([]int, 0, n*(nonzer+1))
+	val := make([]float64, 0, n*(nonzer+1))
+	owner := make([]int, 0, n*(nonzer+1)) // owner[k]: the vector slot k belongs to
+	weight := make([]float64, n)
+	norms := make([]float64, n)
+	seen := make([]int, n) // seen[p] == i+1: vector i already holds position p
 	ratio := math.Pow(rcond, 1/float64(n))
 	w := 1.0
-	idx := make([]int, 0, nonzer+1)
-	val := make([]float64, 0, nonzer+1)
-	seen := make(map[int]bool, nonzer+1)
 	for i := 0; i < n; i++ {
 		// Sparse random vector with nonzer entries (sprnvc): random
 		// positions, random values, plus a strong diagonal component
 		// (vecset's 0.5 at position i).
-		idx = idx[:0]
-		val = val[:0]
-		clear(seen)
-		for len(idx) < nonzer {
+		for len(pos)-vec[i] < nonzer {
 			p := int(g.Next() * float64(n))
-			if p >= n || seen[p] {
+			if p >= n || seen[p] == i+1 {
 				continue
 			}
-			seen[p] = true
-			idx = append(idx, p)
+			seen[p] = i + 1
+			pos = append(pos, p)
 			val = append(val, 2*g.Next()-1)
 		}
-		if !seen[i] {
-			idx = append(idx, i)
+		if seen[i] != i+1 {
+			pos = append(pos, i)
 			val = append(val, 0.5)
+		}
+		vec[i+1] = len(pos)
+		for range vec[i+1] - vec[i] {
+			owner = append(owner, i)
 		}
 		// Normalize the vector so the outer product has unit scale.
 		norm := 0.0
-		for _, v := range val {
+		for _, v := range val[vec[i]:] {
 			norm += v * v
 		}
-		norm = 1 / math.Sqrt(norm)
-		// Rank-1 update: A += w * x x^T (symmetric).
-		for a := range idx {
-			for b := range idx {
-				rows[idx[a]][idx[b]] += w * val[a] * norm * val[b] * norm
-			}
-		}
+		norms[i] = 1 / math.Sqrt(norm)
+		weight[i] = w
 		w *= ratio
 	}
-	for i := 0; i < n; i++ {
-		rows[i][i] += shift + 1 // NPB adds a diagonal dominance term
+	// Invert by counting sort: row r's slots (pos[k] == r) are
+	// rowSlots[slotPtr[r]:slotPtr[r+1]], in vector order.
+	slotPtr := make([]int, n+1)
+	for _, p := range pos {
+		slotPtr[p+1]++
 	}
-	// Assemble CSR with sorted columns, preallocating from the known
-	// total so the append loop never reallocates.
-	nnz := 0
-	for i := range rows {
-		nnz += len(rows[i])
+	for r := 0; r < n; r++ {
+		slotPtr[r+1] += slotPtr[r]
 	}
-	m := &SparseMatrix{
-		N:      n,
-		RowPtr: make([]int, n+1),
-		ColIdx: make([]int, 0, nnz),
-		Values: make([]float64, 0, nnz),
+	rowSlots := make([]int, len(pos))
+	next := slices.Clone(slotPtr[:n]) // the next free place in each row's slot list
+	for k, p := range pos {
+		rowSlots[next[p]] = k
+		next[p]++
 	}
-	var cols []int
-	for i := 0; i < n; i++ {
-		cols = cols[:0]
-		//ookami:nolint determinism -- keys are sorted on the next line; iteration order cannot leak
-		for c := range rows[i] {
-			cols = append(cols, c)
+	// Row r's columns are the positions of every vector with a slot in
+	// row r, plus r itself. mark[c] == r+1 in the structure pass and
+	// -(r+1) in the value pass: column c is already in row r.
+	mark := make([]int, n)
+	m := &SparseMatrix{N: n, RowPtr: make([]int, n+1)}
+	for r := 0; r < n; r++ {
+		cnt := 1
+		mark[r] = r + 1
+		for _, k := range rowSlots[slotPtr[r]:slotPtr[r+1]] {
+			i := owner[k]
+			for _, c := range pos[vec[i]:vec[i+1]] {
+				if mark[c] != r+1 {
+					mark[c] = r + 1
+					cnt++
+				}
+			}
 		}
-		sort.Ints(cols)
-		for _, c := range cols {
-			m.ColIdx = append(m.ColIdx, c)
-			m.Values = append(m.Values, rows[i][c])
+		m.RowPtr[r+1] = m.RowPtr[r] + cnt
+	}
+	m.ColIdx = make([]int, m.RowPtr[n])
+	m.Values = make([]float64, m.RowPtr[n])
+	dense := make([]float64, n)
+	for r := 0; r < n; r++ {
+		cols := m.ColIdx[m.RowPtr[r]:m.RowPtr[r]]
+		for _, a := range rowSlots[slotPtr[r]:slotPtr[r+1]] {
+			i := owner[a]
+			for b := vec[i]; b < vec[i+1]; b++ {
+				c := pos[b]
+				dense[c] += weight[i] * val[a] * norms[i] * val[b] * norms[i]
+				if mark[c] != -(r + 1) {
+					mark[c] = -(r + 1)
+					cols = append(cols, c)
+				}
+			}
 		}
-		m.RowPtr[i+1] = len(m.ColIdx)
+		dense[r] += shift + 1 // NPB adds a diagonal dominance term
+		if mark[r] != -(r + 1) {
+			cols = append(cols, r)
+		}
+		slices.Sort(cols)
+		for j, c := range cols {
+			m.Values[m.RowPtr[r]+j] = dense[c]
+			dense[c] = 0
+		}
 	}
 	return m
 }

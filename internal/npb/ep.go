@@ -16,6 +16,13 @@ import (
 // This implementation follows the NPB spec exactly, including the chunked
 // stream partitioning via the LCG's O(log n) jump-ahead, so results are
 // identical for any thread count.
+//
+// Each chunk works in blocks of epBlock pairs held on the stack, in four
+// passes: an 8-way LCG fill of the uniforms; a branch-free compaction of
+// the accepted pairs, so a mispredicted acceptance test no longer throws
+// away in-flight log/divide/sqrt work; one tight pass of the Box–Muller
+// factor; and the histogram and sums in the original pair order. Every
+// operand and every sum is the scalar loop's, bit for bit.
 type EP struct{}
 
 // NewEP returns the EP benchmark.
@@ -43,6 +50,11 @@ func epM(c Class) uint {
 // epChunkLog is the log2 of the batch size (NPB uses 2^16 pairs per batch).
 const epChunkLog = 16
 
+// epBlock is the number of pairs a chunk works through at a time: 8 KiB
+// of uniforms and three 4 KiB arrays of accepted pairs, all on the stack
+// and inside L1.
+const epBlock = 512
+
 // EPOutput carries the benchmark's raw outputs for verification.
 type EPOutput struct {
 	SX, SY float64
@@ -69,6 +81,8 @@ func (e *EP) RunFull(c Class, team *omp.Team) EPOutput {
 	// result is bitwise identical for every thread count.
 	parts := make([]partial, nChunks)
 	team.ForRange(0, nChunks, omp.Static, 0, func(a, b int) {
+		var u [2 * epBlock]float64
+		var xs, ys, fs [epBlock]float64
 		for chunk := a; chunk < b; chunk++ {
 			// Position an independent generator at this chunk's offset:
 			// each pair consumes two numbers. The sums stay in locals
@@ -76,25 +90,42 @@ func (e *EP) RunFull(c Class, team *omp.Team) EPOutput {
 			g := rng.At(rng.DefaultSeed, 2*uint64(chunk)*pairsPerChunk)
 			var sx, sy, pairs float64
 			var q [10]float64
-			for i := uint64(0); i < pairsPerChunk; i++ {
-				x := 2*g.Next() - 1
-				y := 2*g.Next() - 1
-				t := x*x + y*y
-				if t > 1 {
-					continue
+			for left := pairsPerChunk; left > 0; {
+				nb := int(min(left, epBlock))
+				left -= uint64(nb)
+				g.Fill(u[:2*nb])
+				// Keep the pairs inside the unit disc without a branch:
+				// every pair is stored, and the count moves only for
+				// accepted ones, so a rejected pair is overwritten.
+				n := 0
+				for i := 0; i < nb; i++ {
+					x := 2*u[2*i] - 1
+					y := 2*u[2*i+1] - 1
+					t := x*x + y*y
+					xs[n], ys[n], fs[n] = x, y, t
+					acc := 0
+					if t <= 1 {
+						acc = 1
+					}
+					n += acc
 				}
-				f := math.Sqrt(-2 * math.Log(t) / t)
-				gx, gy := x*f, y*f
-				// Both are non-negative after Abs, so max truncates to
-				// the same annulus as math.Max.
-				l := int(max(math.Abs(gx), math.Abs(gy)))
-				if l > 9 {
-					l = 9
+				for k := range fs[:n] {
+					t := fs[k]
+					fs[k] = math.Sqrt(-2 * math.Log(t) / t)
 				}
-				q[l]++
-				sx += gx
-				sy += gy
-				pairs++
+				for k := range fs[:n] {
+					gx, gy := xs[k]*fs[k], ys[k]*fs[k]
+					// Both are non-negative after Abs, so max truncates
+					// to the same annulus as math.Max.
+					l := int(max(math.Abs(gx), math.Abs(gy)))
+					if l > 9 {
+						l = 9
+					}
+					q[l]++
+					sx += gx
+					sy += gy
+					pairs++
+				}
 			}
 			parts[chunk] = partial{sx: sx, sy: sy, q: q, pairs: pairs}
 		}

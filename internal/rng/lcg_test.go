@@ -2,48 +2,65 @@ package rng
 
 import (
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// mul46Big is (a*b) mod 2^46 in math/big: the full product, then the
+// low 46 bits, with no machine-word wraparound to rely on.
+func mul46Big(a, b uint64) uint64 {
+	p := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+	return p.Mod(p, big.NewInt(lcgMod)).Uint64()
+}
+
 func TestMul46MatchesBigArithmetic(t *testing.T) {
-	// Cross-check the split multiplication against direct computation in
-	// the range where uint64 does not overflow.
-	cases := [][2]uint64{{3, 5}, {1 << 20, 1 << 20}, {lcgA, 271828183}, {lcgMask, 2}}
+	cases := [][2]uint64{
+		{3, 5}, {1 << 20, 1 << 20}, {lcgA, DefaultSeed}, {lcgMask, 2},
+		{lcgMask, lcgMask}, {1 << 45, 1 << 45}, {lcgA8, lcgMask - 1},
+	}
 	for _, c := range cases {
-		// Direct mod-2^46 product via 128-bit decomposition.
-		hi, lo := bits128Mul(c[0], c[1])
-		_ = hi
-		want := lo & lcgMask
-		if got := mul46(c[0], c[1]); got != want {
+		if got, want := mul46(c[0], c[1]), mul46Big(c[0], c[1]); got != want {
 			t.Errorf("mul46(%d,%d) = %d want %d", c[0], c[1], got, want)
 		}
 	}
-}
-
-func bits128Mul(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return
 }
 
 func TestMul46Property(t *testing.T) {
 	f := func(a, b uint64) bool {
 		a &= lcgMask
 		b &= lcgMask
-		_, lo := bits128Mul(a, b)
-		return mul46(a, b) == lo&lcgMask
+		return mul46(a, b) == mul46Big(a, b)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLCGFillMatchesNext holds Fill to Next's values and final state,
+// from the EP seed and from random odd states, across the 8-way body,
+// the scalar tail and both together.
+func TestLCGFillMatchesNext(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	seeds := []uint64{DefaultSeed}
+	for range 8 {
+		seeds = append(seeds, r.Uint64()&lcgMask|1)
+	}
+	for _, seed := range seeds {
+		for _, n := range []int{0, 1, 7, 8, 9, 4097} {
+			seq, fill := NewLCG(seed), NewLCG(seed)
+			got := make([]float64, n)
+			fill.Fill(got)
+			for i := range got {
+				if want := seq.Next(); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("seed %d, len %d: Fill[%d] = %v, Next %v", seed, n, i, got[i], want)
+				}
+			}
+			if fill.State() != seq.State() {
+				t.Errorf("seed %d, len %d: state after Fill %d, after Next %d", seed, n, fill.State(), seq.State())
+			}
+		}
 	}
 }
 
