@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet baselines check fuzz-cfg fuzz-purity fuzz-sched fuzz-report fuzz-predict fuzz-vmath fuzz-npb bench benchgate benchrecord gobench figures smoke
+.PHONY: build test race vet baselines check fuzz-cfg fuzz-purity fuzz-sched fuzz-report fuzz-predict fuzz-vmath fuzz-npb fuzz-trace fuzz-env bench benchgate benchrecord gobench figures smoke
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,22 @@ fuzz-vmath:
 # one new input stalled the run for most of its 30 s.
 fuzz-npb:
 	$(GO) test ./internal/npb -run '^$$' -fuzz=FuzzMulVecMatchesRowLoop -fuzztime=30s -fuzzminimizetime=100x
+
+# Short fuzz pass over the trace reader, which loads files from outside
+# the process in both the object and the bare-array trace_event form:
+# any bytes must load or fail with an error, never panic, and a loaded
+# trace must summarize and survive a write-back round trip. Minimization
+# is capped as in fuzz-report.
+fuzz-trace:
+	$(GO) test ./internal/trace -run '^$$' -fuzz=FuzzReadChrome -fuzztime=30s -fuzzminimizetime=100x
+
+# Short fuzz passes over the two numeric environment parsers:
+# OOKAMI_TRACE_BUF must select a positive capacity and OOKAMI_MPI_TIMEOUT
+# a non-negative duration or a typed error, whatever the value. Each
+# parser is a few lines, so 10 s apiece is enough.
+fuzz-env:
+	$(GO) test ./internal/trace -run '^$$' -fuzz=FuzzTraceBufEnv -fuzztime=10s -fuzzminimizetime=100x
+	$(GO) test ./internal/mpi -run '^$$' -fuzz=FuzzTimeoutFromEnv -fuzztime=10s -fuzzminimizetime=100x
 
 # Run the registered workloads through the orchestrator and store
 # BENCH_ookami.json (warmup + repeats, CoV interference gate, bootstrap

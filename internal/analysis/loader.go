@@ -13,7 +13,26 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 )
+
+// Every loader in the process shares one file set and one source
+// importer, so each standard-library package is type-checked from source
+// once per process rather than once per loader or fixture. The source
+// importer is not safe for concurrent use; stdMu serializes it.
+var (
+	sharedFset = token.NewFileSet()
+	stdMu      sync.Mutex
+	stdImp     = importer.ForCompiler(sharedFset, "source", nil).(types.ImporterFrom)
+)
+
+// importStd resolves a standard-library (non-module) import through the
+// shared source importer.
+func importStd(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdImp.ImportFrom(path, dir, mode)
+}
 
 // Package is one analyzable unit: a set of files to report on plus the
 // full type-checked context they live in. A directory can yield up to
@@ -36,14 +55,12 @@ type Package struct {
 
 // Loader type-checks packages of one module from source. Imports inside
 // the module are resolved by walking the module tree; everything else is
-// delegated to the stdlib "source" importer, so the loader needs no
-// dependencies beyond the standard library.
+// delegated to the process-wide stdlib "source" importer, so the loader
+// needs no dependencies beyond the standard library.
 type Loader struct {
 	ModuleRoot string
 	ModulePath string
 
-	fset    *token.FileSet
-	std     types.ImporterFrom
 	cache   map[string]*types.Package
 	loading map[string]bool
 	units   map[string][]*Package // LoadDir results by directory
@@ -67,21 +84,18 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 	if modPath == "" {
 		return nil, fmt.Errorf("analysis: no module directive in %s/go.mod", moduleRoot)
 	}
-	fset := token.NewFileSet()
-	l := &Loader{
+	return &Loader{
 		ModuleRoot: moduleRoot,
 		ModulePath: modPath,
-		fset:       fset,
 		cache:      map[string]*types.Package{},
 		loading:    map[string]bool{},
 		units:      map[string][]*Package{},
-	}
-	l.std = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	return l, nil
+	}, nil
 }
 
-// Fset exposes the loader's file set (shared by all loaded packages).
-func (l *Loader) Fset() *token.FileSet { return l.fset }
+// Fset exposes the loader's file set (shared by all loaded packages and
+// every other loader in the process).
+func (l *Loader) Fset() *token.FileSet { return sharedFset }
 
 // Import resolves an import path for go/types. Module-internal paths are
 // type-checked from the module tree (memoized, non-test files only);
@@ -93,7 +107,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 // ImportFrom implements types.ImporterFrom.
 func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if path != l.ModulePath && !strings.HasPrefix(path, l.ModulePath+"/") {
-		return l.std.ImportFrom(path, dir, mode)
+		return importStd(path, dir, mode)
 	}
 	if pkg, ok := l.cache[path]; ok {
 		return pkg, nil
@@ -135,7 +149,7 @@ func (l *Loader) parseDir(dir string) (base, intest, xtest []*ast.File, err erro
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(sharedFset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -207,7 +221,7 @@ func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.I
 		FakeImportC: true,
 		Sizes:       types.SizesFor("gc", runtime.GOARCH),
 	}
-	pkg, err := conf.Check(path, l.fset, files, info)
+	pkg, err := conf.Check(path, sharedFset, files, info)
 	if err != nil {
 		return nil, nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
 	}
@@ -253,7 +267,7 @@ func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 			l.cache[path] = pkg
 		}
 		units = append(units, &Package{
-			Path: path, Fset: l.fset, Files: base, AllFiles: base, Types: pkg, Info: info,
+			Path: path, Fset: sharedFset, Files: base, AllFiles: base, Types: pkg, Info: info,
 		})
 	}
 	if len(intest) > 0 {
@@ -263,7 +277,7 @@ func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 			return nil, err
 		}
 		units = append(units, &Package{
-			Path: path, Fset: l.fset, Files: intest, AllFiles: all, Types: pkg, Info: info,
+			Path: path, Fset: sharedFset, Files: intest, AllFiles: all, Types: pkg, Info: info,
 		})
 	}
 	if len(xtest) > 0 {
@@ -276,7 +290,7 @@ func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 			return nil, err
 		}
 		units = append(units, &Package{
-			Path: path + "_test", Fset: l.fset, Files: xtest, AllFiles: xtest, Types: pkg, Info: info,
+			Path: path + "_test", Fset: sharedFset, Files: xtest, AllFiles: xtest, Types: pkg, Info: info,
 		})
 	}
 	l.units[dir] = units
@@ -292,8 +306,6 @@ func (l *Loader) testVariant(path string, variant *types.Package) *Loader {
 	tl := &Loader{
 		ModuleRoot: l.ModuleRoot,
 		ModulePath: l.ModulePath,
-		fset:       l.fset,
-		std:        l.std,
 		cache:      map[string]*types.Package{path: variant},
 		loading:    map[string]bool{},
 	}
@@ -324,15 +336,12 @@ func (l *Loader) testVariant(path string, variant *types.Package) *Loader {
 // the package's import path (pick one that triggers the analyzer's
 // package scoping, e.g. "ookami/internal/mpi").
 func LoadSource(path string, files map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
 	l := &Loader{
 		ModuleRoot: "/nonexistent",
 		ModulePath: "fixture.invalid", // never matches: all imports go to the source importer
-		fset:       fset,
 		cache:      map[string]*types.Package{},
 		loading:    map[string]bool{},
 	}
-	l.std = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 	var names []string
 	for name := range files {
 		names = append(names, name)
@@ -340,7 +349,7 @@ func LoadSource(path string, files map[string]string) (*Package, error) {
 	sort.Strings(names)
 	var parsed []*ast.File
 	for _, name := range names {
-		f, err := parser.ParseFile(fset, name, files[name], parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(sharedFset, name, files[name], parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -350,5 +359,5 @@ func LoadSource(path string, files map[string]string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Package{Path: path, Fset: fset, Files: parsed, AllFiles: parsed, Types: pkg, Info: info}, nil
+	return &Package{Path: path, Fset: sharedFset, Files: parsed, AllFiles: parsed, Types: pkg, Info: info}, nil
 }

@@ -42,11 +42,14 @@ func (s Stats) HitRate() float64 {
 	return 1 - float64(s.Misses)/float64(s.Accesses)
 }
 
-// level is one set-associative LRU cache level.
+// level is one set-associative LRU cache level. The tags of all sets
+// share one array, Ways slots per set in LRU order (front = MRU); a slot
+// holds line+1, so a zero slot is empty and the empty slots of a set are
+// always at its back.
 type level struct {
 	cfg   Config
 	sets  int
-	tags  [][]uint64 // per set: tags in LRU order (front = MRU)
+	tags  []uint64
 	stats Stats
 }
 
@@ -59,11 +62,7 @@ func newLevel(cfg Config) *level {
 	if sets < 1 {
 		sets = 1
 	}
-	l := &level{cfg: cfg, sets: sets, tags: make([][]uint64, sets)}
-	for i := range l.tags {
-		l.tags[i] = make([]uint64, 0, cfg.Ways)
-	}
-	return l
+	return &level{cfg: cfg, sets: sets, tags: make([]uint64, sets*cfg.Ways)}
 }
 
 // access touches the line containing addr; returns true on hit.
@@ -71,24 +70,24 @@ func (l *level) access(addr uint64) bool {
 	l.stats.Accesses++
 	line := addr / uint64(l.cfg.LineBytes)
 	set := int(line % uint64(l.sets))
-	tags := l.tags[set]
+	tags := l.tags[set*l.cfg.Ways : (set+1)*l.cfg.Ways]
+	key := line + 1
 	for i, t := range tags {
-		if t == line {
+		if t == key {
 			// Move to MRU.
 			copy(tags[1:i+1], tags[:i])
-			tags[0] = line
+			tags[0] = key
 			return true
+		}
+		if t == 0 {
+			break
 		}
 	}
 	l.stats.Misses++
 	l.stats.BytesMoved += int64(l.cfg.LineBytes)
-	// Insert as MRU, evicting LRU if full.
-	if len(tags) < l.cfg.Ways {
-		tags = append(tags, 0)
-	}
+	// Insert as MRU; the LRU slot (or an empty one) drops off the back.
 	copy(tags[1:], tags)
-	tags[0] = line
-	l.tags[set] = tags
+	tags[0] = key
 	return false
 }
 
@@ -133,10 +132,12 @@ func (h *Hierarchy) MemoryBytes() int64 {
 	return h.levels[len(h.levels)-1].stats.BytesMoved
 }
 
-// Reset clears contents and counters.
+// Reset clears contents and counters in place, so one hierarchy can
+// replay many patterns without reallocating its tag arrays.
 func (h *Hierarchy) Reset() {
-	for i, l := range h.levels {
-		h.levels[i] = newLevel(l.cfg)
+	for _, l := range h.levels {
+		clear(l.tags)
+		l.stats = Stats{}
 	}
 }
 

@@ -180,3 +180,77 @@ func TestZeroSizeAccessCountsOnce(t *testing.T) {
 		t.Errorf("accesses %d", h.Stats(0).Accesses)
 	}
 }
+
+// refLevel is the textbook form of one level: a slice of tags per set,
+// MRU first. It is the oracle for the flat tag array.
+type refLevel struct {
+	cfg  Config
+	sets int
+	tags [][]uint64
+	st   Stats
+}
+
+func newRefLevel(cfg Config) *refLevel {
+	sets := max(cfg.SizeBytes/cfg.LineBytes/cfg.Ways, 1)
+	return &refLevel{cfg: cfg, sets: sets, tags: make([][]uint64, sets)}
+}
+
+func (l *refLevel) access(addr uint64) bool {
+	l.st.Accesses++
+	line := addr / uint64(l.cfg.LineBytes)
+	set := int(line % uint64(l.sets))
+	tags := l.tags[set]
+	for i, t := range tags {
+		if t == line {
+			copy(tags[1:i+1], tags[:i])
+			tags[0] = line
+			return true
+		}
+	}
+	l.st.Misses++
+	l.st.BytesMoved += int64(l.cfg.LineBytes)
+	if len(tags) < l.cfg.Ways {
+		tags = append(tags, 0)
+	}
+	copy(tags[1:], tags)
+	tags[0] = line
+	l.tags[set] = tags
+	return false
+}
+
+// TestFlatTagsMatchPerSetLRU replays random traces, line 0 included,
+// through a reused hierarchy and through per-set LRU oracles: every
+// level's counters must agree after every access, and a Reset
+// hierarchy must behave as a fresh one.
+func TestFlatTagsMatchPerSetLRU(t *testing.T) {
+	cfgs := []Config{
+		{Name: "L1", SizeBytes: 512, LineBytes: 64, Ways: 2},
+		{Name: "L2", SizeBytes: 4096, LineBytes: 64, Ways: 4},
+		{Name: "L3", SizeBytes: 8192, LineBytes: 64, Ways: 1},
+	}
+	h := NewHierarchy(cfgs...)
+	rng := rand.New(rand.NewSource(11))
+	for trace := 0; trace < 4; trace++ {
+		h.Reset()
+		ref := make([]*refLevel, len(cfgs))
+		for i, c := range cfgs {
+			ref[i] = newRefLevel(c)
+		}
+		for k := 0; k < 5000; k++ {
+			addr := uint64(rng.Intn(1 << 15))
+			h.Access(addr, 8)
+			for a := addr / 64 * 64; a < addr+8; a += 64 {
+				for _, l := range ref {
+					if l.access(a) {
+						break
+					}
+				}
+			}
+			for i, l := range ref {
+				if got := h.Stats(i); got != l.st {
+					t.Fatalf("trace %d access %d level %d: %+v, want %+v", trace, k, i, got, l.st)
+				}
+			}
+		}
+	}
+}

@@ -4,8 +4,8 @@ package explain
 // parameters derived from them, and the application model built on both.
 // The figure generators and the serve API price applications through
 // this one path. They differ in how a loop's cycles are obtained:
-// figures pass an engine-memoized query, Predict compiles directly (it is
-// itself cached at the response level by the server).
+// figures pass an engine-memoized query, Predict compiles directly, and
+// a PairPrices table reads them off its priced loops.
 
 import (
 	"ookami/internal/machine"
@@ -106,7 +106,8 @@ func compiledCycles(tc toolchain.Toolchain, m machine.Machine) func(toolchain.Lo
 
 // ExecFor builds the node-level execution parameters for running an
 // application with vectorizable fraction vecFrac under toolchain tc on
-// machine m. mathCost is a MathCost map; the result owns it.
+// machine m. mathCost is a MathCost map; the result holds it and only
+// reads it.
 //
 //ookami:pure assembles parameters from the pure helpers above
 func ExecFor(tc toolchain.Toolchain, m machine.Machine, vecFrac float64, mathCost map[perfmodel.MathFn]float64) perfmodel.ExecParams {
@@ -133,7 +134,13 @@ func ExecFor(tc toolchain.Toolchain, m machine.Machine, vecFrac float64, mathCos
 //
 //ookami:pure node-model evaluation; loopCycles is a pure pricing of one loop
 func AppTime(tc toolchain.Toolchain, m machine.Machine, name string, st npb.Stats, threads int, loopCycles func(toolchain.Loop) float64) (parts perfmodel.NodeTimeParts, total float64) {
-	exec := ExecFor(tc, m, st.VecFrac, MathCost(m, loopCycles))
+	return appTime(tc, m, name, st, threads, MathCost(m, loopCycles))
+}
+
+// appTime is AppTime on a math-cost map already built: the node model
+// only reads the map, so a PairPrices table passes its own.
+func appTime(tc toolchain.Toolchain, m machine.Machine, name string, st npb.Stats, threads int, mathCost map[perfmodel.MathFn]float64) (parts perfmodel.NodeTimeParts, total float64) {
+	exec := ExecFor(tc, m, st.VecFrac, mathCost)
 	parts = perfmodel.NodeTimeBreakdown(m, st.AppProfile(name), exec, threads)
 	total = parts.Total()
 	if st.TouchChurn > 0.3 && threads > 1 {

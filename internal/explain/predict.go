@@ -200,43 +200,74 @@ func (req Request) Key() (string, error) {
 	return fmt.Sprintf("%s|%s|%s|%s|%d|%d", kernel, tc.Name, tc.Version, m.Name, threads, elems), nil
 }
 
+// Pair resolves the (toolchain, machine) pair a request prices on: the
+// key of its PairPrices table. It fails exactly when Key fails for a
+// reason other than the kernel name.
+//
+//ookami:pure registry lookups
+func (req Request) Pair() (toolchain.Toolchain, machine.Machine, error) {
+	return resolve(req)
+}
+
 // Predict answers one what-if query. The result is deterministic in the
 // request tuple — the function is certified pure, which is what allows
-// the server to coalesce and cache whole responses.
+// the server to coalesce and cache whole responses. Predict keeps no
+// state: each call prices afresh the one loop (or, for an app, the five
+// math loops) its answer needs, so every call costs the same. A caller
+// answering many queries builds each pair's PricePair table once and
+// asks PairPrices.Predict instead, which gives the same bytes.
 //
 //ookami:pure model evaluation over read-only registries
 func Predict(req Request) (Prediction, error) {
+	return predict(req, nil)
+}
+
+// predict is the one prediction path: it resolves req, takes the
+// in-core prices it needs from t, or prices them afresh when t is nil,
+// and hands them to the closed-form arithmetic.
+func predict(req Request, t *PairPrices) (Prediction, error) {
 	tc, m, err := resolve(req)
 	if err != nil {
 		return Prediction{}, err
 	}
+	if t != nil && !t.covers(tc, m) {
+		return Prediction{}, fmt.Errorf("explain: the %s/%s price table cannot answer %s on %s",
+			t.tc.Name, t.m.Name, tc.Name, m.Name)
+	}
 	threads := resolveThreads(req, m)
 	if l, ok := FindLoop(req.Kernel); ok {
-		return predictLoop(tc, l, m, threads, req.Elems)
+		var r Result
+		if t != nil {
+			r, err = t.loop(l)
+		} else {
+			r, err = Explain(tc, l, m)
+		}
+		if err != nil {
+			return Prediction{}, &BadRequestError{Msg: err.Error()}
+		}
+		return predictLoop(tc, l, m, threads, req.Elems, r), nil
 	}
 	if name, ok := resolveApp(req.Kernel); ok {
-		return predictApp(tc, name, m, threads), nil
+		var mathCost map[perfmodel.MathFn]float64
+		if t != nil {
+			mathCost = t.math
+		} else {
+			mathCost = MathCost(m, compiledCycles(tc, m))
+		}
+		return predictApp(tc, name, m, threads, mathCost), nil
 	}
 	return Prediction{}, &UnknownError{Kind: "kernel", Name: req.Kernel}
 }
 
-// predictLoop models a loop kernel: the instruction-level schedule gives
-// the compute rate, the traffic table and the NUMA-aware bandwidth model
-// give the memory side, and the roofline combine takes the max.
-func predictLoop(tc toolchain.Toolchain, l toolchain.Loop, m machine.Machine, threads, elems int) (Prediction, error) {
+// predictLoop models a loop kernel from its Explain result r: the
+// instruction-level schedule gives the compute rate, the traffic table
+// and the NUMA-aware bandwidth model give the memory side, and the
+// roofline combine takes the max.
+func predictLoop(tc toolchain.Toolchain, l toolchain.Loop, m machine.Machine, threads, elems int, r Result) Prediction {
 	if elems == 0 {
 		elems = DefaultElems
 	}
-	r, err := Explain(tc, l, m)
-	if err != nil {
-		return Prediction{}, &BadRequestError{Msg: err.Error()}
-	}
-	var cpe float64
-	if r.Vectorized {
-		cpe = r.Breakdown.CyclesPerElem
-	} else {
-		cpe = r.SerialCyclesPerElem
-	}
+	cpe := r.cyclesPerElem()
 
 	tr := trafficFor(l)
 	n := float64(elems)
@@ -276,15 +307,15 @@ func predictLoop(tc toolchain.Toolchain, l toolchain.Loop, m machine.Machine, th
 		RidgeFlopByte: roofline.Ridge(m),
 		Report:        r.Report,
 		Breakdown:     r.Breakdown,
-	}, nil
+	}
 }
 
-// predictApp models an NPB application at class C through AppTime — the
-// evaluation figures.NPBTime performs — pricing its math loops by direct
-// compiles, with the component terms kept.
-func predictApp(tc toolchain.Toolchain, name string, m machine.Machine, threads int) Prediction {
+// predictApp models an NPB application at class C through appTime — the
+// evaluation figures.NPBTime performs — on the pair's math-cost map,
+// with the component terms kept.
+func predictApp(tc toolchain.Toolchain, name string, m machine.Machine, threads int, mathCost map[perfmodel.MathFn]float64) Prediction {
 	st, _ := npb.StatsByName(name, npb.ClassC)
-	parts, total := AppTime(tc, m, name, st, threads, compiledCycles(tc, m))
+	parts, total := appTime(tc, m, name, st, threads, mathCost)
 	pt := roofline.Place(m, st.AppProfile(name))
 	return Prediction{
 		Kind:           "app",

@@ -54,7 +54,7 @@ func UnrollAblation() *stats.Table {
 		perfmodel.I(perfmodel.INT), perfmodel.I(perfmodel.INT), perfmodel.I(perfmodel.BRANCH),
 	}
 	for _, u := range []int{1, 2, 3, 4, 6, 8} {
-		body := append(kernel.Repeat(u), ctrl...)
+		body := kernel.Repeat(u, ctrl...)
 		t.AddNumericRow(fmt.Sprintf("%d", u), prof.CyclesPerElement(body, 8*u))
 	}
 	return t
@@ -98,36 +98,20 @@ func GatherWindowAblation() *stats.Table {
 		x[i] = rng.NormFloat64()
 	}
 	y := make([]float64, n)
-	w := loops.NewWorkload(n, 99)
-	full := loops.GatherSVE(y, x, w.Index)
+	idx := loops.FullIndex(n, 99)
+	full := loops.GatherSVE(y, x, idx)
 	vectors := float64(n / 8)
 	for _, win := range []int{2, 4, 8, 16, 32, 64, n} {
-		var idx []int64
-		if win >= n {
-			idx = w.Index
-		} else {
-			idx = windowPerm(rng, n, win)
+		req := full
+		if win < n {
+			loops.WindowPermInto(rng, idx, win)
+			req = loops.GatherSVE(y, x, idx)
 		}
-		req := loops.GatherSVE(y, x, idx)
 		t.AddRow(fmt.Sprintf("%d", win),
 			stats.Format3(float64(req)/vectors),
 			stats.Format3(float64(full)/float64(req)))
 	}
 	return t
-}
-
-func windowPerm(rng *rand.Rand, n, window int) []int64 {
-	p := make([]int64, n)
-	for base := 0; base < n; base += window {
-		end := base + window
-		if end > n {
-			end = n
-		}
-		for i, v := range rng.Perm(end - base) {
-			p[base+i] = int64(base + v)
-		}
-	}
-	return p
 }
 
 // PlacementSweep models SP's runtime versus thread count under the two

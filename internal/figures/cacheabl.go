@@ -25,9 +25,11 @@ func CacheLineAblation() *stats.Table {
 		{"stride 64 doubles", func(h *cache.Hierarchy) { cache.StridedSweep(h, 0, n, 64) }},
 		{"plane stride (SP z-solve)", func(h *cache.Hierarchy) { cache.StridedSweep(h, 0, 4096, 1<<14) }},
 	}
+	a64 := cache.A64FXHierarchy()
+	skx := cache.SkylakeHierarchy()
 	for _, p := range patterns {
-		a64 := cache.A64FXHierarchy()
-		skx := cache.SkylakeHierarchy()
+		a64.Reset()
+		skx.Reset()
 		p.run(a64)
 		p.run(skx)
 		amp := float64(a64.MemoryBytes()) / float64(skx.MemoryBytes())

@@ -65,7 +65,7 @@ func KernelCycles(ks KernelStructure, form toolchain.PolyShape) float64 {
 		body := append(append(perfmodel.Body{}, kernel...), ctrl(false)...)
 		return a64.CyclesPerElement(body, 8)
 	default:
-		body := append(kernel.Repeat(2), ctrl(false)...)
+		body := kernel.Repeat(2, ctrl(false)...)
 		return a64.CyclesPerElement(body, 16)
 	}
 }

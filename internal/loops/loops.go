@@ -38,37 +38,45 @@ func NewWorkload(n int, seed int64) *Workload {
 		w.X[i] = rng.Float64()*4 - 2
 		w.P[i] = rng.Float64()*6 - 3
 	}
-	w.Index = fullPermutation(rng, n)
-	w.Short = windowPermutation(rng, n, 16)
+	w.Index = make([]int64, n)
+	permInto(rng, w.Index, 0)
+	w.Short = make([]int64, n)
+	WindowPermInto(rng, w.Short, 16)
 	return w
 }
 
-// fullPermutation returns a random permutation of 0..n-1 — the paper's
-// cache-hostile gather/scatter index stream.
-func fullPermutation(rng *rand.Rand, n int) []int64 {
-	p := make([]int64, n)
-	for i, v := range rng.Perm(n) {
-		p[i] = int64(v)
+// FullIndex returns NewWorkload(n, seed).Index without building the
+// rest of the workload: it draws and drops the X and P values first, so
+// the generator reaches the permutation in the same state.
+func FullIndex(n int, seed int64) []int64 {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 2*n; i++ {
+		rng.Float64()
 	}
+	p := make([]int64, n)
+	permInto(rng, p, 0)
 	return p
 }
 
-// windowPermutation permutes indices only within aligned `window`-element
-// blocks (16 doubles = 128 bytes), the paper's "short" variant that stays
-// inside the A64FX gather fast path.
-func windowPermutation(rng *rand.Rand, n, window int) []int64 {
-	p := make([]int64, n)
-	for base := 0; base < n; base += window {
-		end := base + window
-		if end > n {
-			end = n
-		}
-		local := rng.Perm(end - base)
-		for i, v := range local {
-			p[base+i] = int64(base + v)
-		}
+// WindowPermInto fills p with a permutation of its indices that moves
+// each only within its aligned `window`-element block (16 doubles = 128
+// bytes): the paper's "short" variant that stays inside the A64FX
+// gather fast path. It draws from rng as rng.Perm does for each block.
+func WindowPermInto(rng *rand.Rand, p []int64, window int) {
+	for base := 0; base < len(p); base += window {
+		end := min(base+window, len(p))
+		permInto(rng, p[base:end], int64(base))
 	}
-	return p
+}
+
+// permInto writes base + rng.Perm(len(p)) into p without the
+// intermediate []int: the same draws, the same swaps, the same result.
+func permInto(rng *rand.Rand, p []int64, base int64) {
+	for i := range p {
+		j := rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = base + int64(i)
+	}
 }
 
 // --- simple: y[i] = 2*x[i] + 3*x[i]*x[i] ---

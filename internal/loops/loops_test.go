@@ -3,6 +3,7 @@ package loops
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -167,7 +168,8 @@ func TestWindowPermutationProperty(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz)%500 + 1
 		rng := rand.New(rand.NewSource(seed))
-		p := windowPermutation(rng, n, 16)
+		p := make([]int64, n)
+		WindowPermInto(rng, p, 16)
 		seen := make([]bool, n)
 		for i, v := range p {
 			if v < 0 || int(v) >= n || seen[v] {
@@ -224,5 +226,31 @@ func TestSqrtPowSVEInPlace(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(10, func() { PowSVE(y, x, p) }); a != 0 {
 		t.Errorf("PowSVE: %v allocations per call, want 0", a)
+	}
+}
+
+// TestPermutationsMatchRandPerm pins the in-place permutations to the
+// rand.Perm draws they replace, block by block, and FullIndex to the
+// workload's own index.
+func TestPermutationsMatchRandPerm(t *testing.T) {
+	for _, n := range []int{1, 15, 16, 17, 1000, 1 << 12} {
+		ref := rand.New(rand.NewSource(int64(n)))
+		got := rand.New(rand.NewSource(int64(n)))
+		for _, window := range []int{1, 2, 16, n} {
+			want := make([]int64, n)
+			for base := 0; base < n; base += window {
+				for i, v := range ref.Perm(min(window, n-base)) {
+					want[base+i] = int64(base + v)
+				}
+			}
+			p := make([]int64, n)
+			WindowPermInto(got, p, window)
+			if !slices.Equal(p, want) {
+				t.Fatalf("n %d window %d: in-place permutation differs from rand.Perm", n, window)
+			}
+		}
+		if !slices.Equal(FullIndex(n, 5), NewWorkload(n, 5).Index) {
+			t.Fatalf("n %d: FullIndex differs from NewWorkload's Index", n)
+		}
 	}
 }

@@ -24,6 +24,7 @@ type Cert struct {
 // state-sharing) code out of the shared memo.
 var Dispatch = map[string]Cert{
 	"explain.Predict":            {Pkg: "internal/explain", Func: "Predict"},
+	"explain.PricePair":          {Pkg: "internal/explain", Func: "PricePair"},
 	"toolchain.CyclesPerElement": {Pkg: "internal/toolchain", Func: "CompiledLoop.CyclesPerElement"},
 }
 

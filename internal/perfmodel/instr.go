@@ -171,11 +171,12 @@ func (b Body) CountFP() int {
 
 // Repeat returns a body comprising n copies of b with intra-iteration
 // dependences preserved and carried dependences linking copy k to copy k-1
-// (software unrolling).
+// (software unrolling), followed by tail as given: the loop control a
+// caller closes the unrolled body with, in the same allocation.
 //
 //ookami:pure builds a fresh body
-func (b Body) Repeat(n int) Body {
-	out := make(Body, 0, len(b)*n)
+func (b Body) Repeat(n int, tail ...Instr) Body {
+	out := make(Body, 0, len(b)*n+len(tail))
 	for k := 0; k < n; k++ {
 		off := k * len(b)
 		for _, ins := range b {
@@ -194,5 +195,5 @@ func (b Body) Repeat(n int) Body {
 			out = append(out, ni)
 		}
 	}
-	return out
+	return append(out, tail...)
 }

@@ -51,23 +51,26 @@ import (
 // notIssued is the done time of an instruction that has not issued. It
 // compares greater than every cycle, so "done <= cycle" also means
 // "issued".
-const notIssued = math.MaxInt
+const notIssued = math.MaxInt32
 
 // maxCycles bounds a run. A body the profile can issue finishes far below
-// it; reaching it means the answer would be truncated.
+// it; reaching it means the answer would be truncated. It is far below
+// math.MaxInt32, so the ring, the wait heap and observe's states hold
+// cycles as int32: 16 bytes per ring entry instead of 24, half the bytes
+// per state.
 const maxCycles = 1 << 26
 
 // coreInstr is the run state of one dynamic instruction.
 type coreInstr struct {
-	done    int   // cycle the result is available; notIssued until issue
-	readyAt int   // latest done time among the producers issued so far
+	done    int32 // cycle the result is available; notIssued until issue
+	readyAt int32 // latest done time among the producers issued so far
 	pending int32 // producers not yet issued
 	op      uint8
 }
 
 // waiter is an entry of the wait heap: instruction g becomes ready at at.
 type waiter struct {
-	at int
+	at int32
 	g  int32
 }
 
@@ -115,7 +118,7 @@ type schedCore struct {
 	// skipped counts the instructions this run did not simulate.
 	seeking              bool
 	nextBoundary, seen   int
-	saved, cur           []int
+	saved, cur           []int32
 	savedIter, savedAt   int
 	period, periodCycles int
 	skipped              int
@@ -201,7 +204,7 @@ func (s *schedCore) run() {
 			panic(fmt.Sprintf("perfmodel: %s did not finish %d instructions within %d cycles",
 				p.Name, s.total, maxCycles))
 		}
-		for s.instrs[s.head&s.mask].done <= s.cycle {
+		for int(s.instrs[s.head&s.mask].done) <= s.cycle {
 			s.head++
 		}
 		if s.seeking && s.head >= s.nextBoundary {
@@ -215,7 +218,7 @@ func (s *schedCore) run() {
 			s.enqueue(s.tail)
 			s.tail++
 		}
-		for len(s.wait) > 0 && s.wait[0].at <= s.cycle {
+		for len(s.wait) > 0 && int(s.wait[0].at) <= s.cycle {
 			s.markReady(s.popWait())
 		}
 		if s.issueCycle() < p.IssueWidth {
@@ -301,7 +304,7 @@ func (s *schedCore) enqueue(g int) {
 	in := &s.instrs[g&s.mask]
 	switch {
 	case in.pending > 0:
-	case in.readyAt <= s.cycle:
+	case int(in.readyAt) <= s.cycle:
 		s.markReady(g)
 	default:
 		s.pushWait(g)
@@ -359,7 +362,7 @@ func (s *schedCore) tryIssue(g int) bool {
 	c := s.costs[op]
 	s.slots[slot] = s.cycle + c.Occupancy
 	done := s.cycle + c.Latency
-	in.done = done
+	in.done = int32(done)
 	s.last = max(s.last, done)
 	s.issued++
 	if s.events != nil {
@@ -373,7 +376,7 @@ func (s *schedCore) tryIssue(g int) bool {
 			continue // carried into an iteration that is not run
 		}
 		c := &s.instrs[h&s.mask]
-		c.readyAt = max(c.readyAt, done)
+		c.readyAt = max(c.readyAt, int32(done))
 		c.pending--
 		if c.pending == 0 && h < s.tail {
 			s.enqueue(h)
@@ -386,9 +389,9 @@ func (s *schedCore) tryIssue(g int) bool {
 // slots can change: a waiting instruction becomes ready, the head retires
 // (admitting more), or a busy pipe frees. notIssued if there is none.
 func (s *schedCore) nextEvent() int {
-	next := s.instrs[s.head&s.mask].done
+	next := int(s.instrs[s.head&s.mask].done)
 	if len(s.wait) > 0 {
-		next = min(next, s.wait[0].at)
+		next = min(next, int(s.wait[0].at))
 	}
 	for _, free := range s.slots {
 		if free > s.cycle {
@@ -482,17 +485,17 @@ func (s *schedCore) observe() {
 
 // appendHeader appends the scalar part of observe's state, with head and
 // tail taken relative to instruction b.
-func (s *schedCore) appendHeader(dst []int, b int) []int {
-	dst = append(dst, s.head-b, s.tail-b, max(s.last-s.cycle, 0))
+func (s *schedCore) appendHeader(dst []int32, b int) []int32 {
+	dst = append(dst, int32(s.head-b), int32(s.tail-b), int32(max(s.last-s.cycle, 0)))
 	for _, free := range s.slots {
-		dst = append(dst, max(free-s.cycle, 0))
+		dst = append(dst, int32(max(free-s.cycle, 0)))
 	}
 	return dst
 }
 
 // appendState appends observe's state, with indices taken relative to
 // instruction b.
-func (s *schedCore) appendState(dst []int, b int) []int {
+func (s *schedCore) appendState(dst []int32, b int) []int32 {
 	dst = s.appendHeader(dst, b)
 	for g := s.head; g < s.tail+2*s.n; g++ {
 		v := s.instrState(g)
@@ -502,17 +505,18 @@ func (s *schedCore) appendState(dst []int, b int) []int {
 }
 
 // instrState is observe's state of instruction g.
-func (s *schedCore) instrState(g int) [3]int {
+func (s *schedCore) instrState(g int) [3]int32 {
 	in := &s.instrs[g&s.mask]
-	done := -1
+	cycle := int32(s.cycle)
+	done := int32(-1)
 	if in.done != notIssued {
-		done = max(in.done-s.cycle, 0)
+		done = max(in.done-cycle, 0)
 	}
-	ready := 0
+	ready := int32(0)
 	if s.isReady(g) {
 		ready = 1
 	}
-	return [3]int{done, max(in.readyAt-s.cycle, 0), int(in.pending)<<1 | ready}
+	return [3]int32{done, max(in.readyAt-cycle, 0), in.pending<<1 | ready}
 }
 
 // repeats reports whether the state at this boundary, whose header is in
@@ -524,7 +528,7 @@ func (s *schedCore) repeats(end int) bool {
 		return false
 	}
 	for g, i := s.head, h; g < end; g, i = g+1, i+3 {
-		if s.instrState(g) != [3]int(s.saved[i:i+3]) {
+		if s.instrState(g) != [3]int32(s.saved[i:i+3]) {
 			return false
 		}
 	}
@@ -561,11 +565,11 @@ func (s *schedCore) jump(di, dc int) {
 // restore sets the run to state st, as appendState encoded it, placed at
 // instruction b and the given cycle. It rebuilds the wait heap from the
 // instructions, as observe describes.
-func (s *schedCore) restore(st []int, b, cycle int) {
+func (s *schedCore) restore(st []int32, b, cycle int) {
 	s.cycle = cycle
-	s.head, s.tail, s.last = b+st[0], b+st[1], cycle+st[2]
+	s.head, s.tail, s.last = b+int(st[0]), b+int(st[1]), cycle+int(st[2])
 	for p := range s.slots {
-		s.slots[p] = cycle + st[3+p]
+		s.slots[p] = cycle + int(st[3+p])
 	}
 	s.issued = s.head
 	s.wait = s.wait[:0]
@@ -574,9 +578,9 @@ func (s *schedCore) restore(st []int, b, cycle int) {
 	s.fill(s.head + (len(st)-h)/3)
 	for j, g := h, s.head; j < len(st); j, g = j+3, g+1 {
 		in := &s.instrs[g&s.mask]
-		in.readyAt, in.pending = cycle+st[j+1], int32(st[j+2]>>1)
+		in.readyAt, in.pending = int32(cycle)+st[j+1], st[j+2]>>1
 		if st[j] >= 0 {
-			in.done = cycle + st[j]
+			in.done = int32(cycle) + st[j]
 			s.issued++
 		}
 		switch {
@@ -590,9 +594,9 @@ func (s *schedCore) restore(st []int, b, cycle int) {
 
 // stateBuffers returns an empty buffer for a state and a copy of saved,
 // each with room for the largest state, in one allocation.
-func (s *schedCore) stateBuffers(saved []int) (cur, copied []int) {
+func (s *schedCore) stateBuffers(saved []int32) (cur, copied []int32) {
 	size := 3 + len(s.slots) + 3*(min(s.p.Window, s.total)+2*s.n)
-	buf := make([]int, 2*size)
+	buf := make([]int32, 2*size)
 	return buf[:0:size], append(buf[size:size], saved...)
 }
 

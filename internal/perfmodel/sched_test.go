@@ -141,7 +141,7 @@ func TestUnrollAmortizesLoopControl(t *testing.T) {
 	}
 	control := Body{I(INT), I(PRED), I(INT), I(BRANCH)}
 	vla := append(append(Body{}, compute...), control...)
-	unrolled := append(compute.Repeat(2), control...)
+	unrolled := compute.Repeat(2, control...)
 	c1 := p.CyclesPerElement(vla, 8)
 	c2 := p.CyclesPerElement(unrolled, 16)
 	if c2 >= c1 {

@@ -16,11 +16,16 @@ import (
 // silently serve cached traffic.
 const predictEntry = "explain.Predict"
 
+// pricesEntry is the certified dispatch entry the server builds a
+// pair's price table through.
+const pricesEntry = "explain.PricePair"
+
 // handlePredict answers POST /v1/predict. The request is resolved and
 // canonicalized first — invalid queries never touch the cache — then the
 // canonical key routes through the engine's singleflight memo: identical
 // concurrent queries coalesce onto one evaluation, completed answers are
-// served from the bounded LRU as the exact marshaled bytes.
+// served from the bounded LRU as the exact marshaled bytes. A miss is
+// answered from its pair's price table.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req explain.Request
 	dec := json.NewDecoder(r.Body)
@@ -35,7 +40,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := s.engine.Run(predictEntry, key, func() any {
-		p, err := explain.Predict(req)
+		p, err := s.predict(req)
 		if err != nil {
 			// Unreachable after Key() succeeded, but a deterministic
 			// error is still a cacheable answer for this tuple.
@@ -55,6 +60,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, http.StatusInternalServerError, "internal: bad cache entry")
 	}
+}
+
+// predict answers req from the price table of its (toolchain, machine)
+// pair. The first request of a pair builds the table; concurrent first
+// requests of one pair coalesce onto one build.
+func (s *Server) predict(req explain.Request) (explain.Prediction, error) {
+	tc, m, err := req.Pair()
+	if err != nil {
+		return explain.Prediction{}, err
+	}
+	key := tc.Name + "|" + tc.Version + "|" + m.Name
+	t := s.prices.Run(pricesEntry, key, func() any { return explain.PricePair(tc, m) })
+	return t.(*explain.PairPrices).Predict(req)
 }
 
 // writeExplainError maps the explain library's typed errors onto HTTP

@@ -3,10 +3,14 @@
 // toolchain × machine × thread count) are answered by internal/explain,
 // routed through the certified parexec engine so identical in-flight
 // queries coalesce onto one evaluation and completed answers live in a
-// capacity-bounded LRU cache. The cache stores the marshaled response
-// bytes, which with explain.Predict's certified purity gives the API its
-// core contract: a served answer is byte-identical to a direct library
-// call with the same request tuple.
+// capacity-bounded LRU cache. A cache miss answers from the price table
+// of the query's (toolchain, machine) pair: the first miss of a pair
+// builds it (explain.PricePair, 11 compiles and schedules), and every
+// later miss on the pair is closed-form arithmetic plus the JSON encode.
+// Each Server builds its own tables. The cache stores the marshaled
+// response bytes, which with the certified purity of explain.Predict and
+// of the table path gives the API its core contract: a served answer is
+// byte-identical to a direct library call with the same request tuple.
 package serve
 
 import (
@@ -73,7 +77,8 @@ func (c Config) withDefaults() Config {
 // metrics behind one http.Handler.
 type Server struct {
 	cfg     Config
-	engine  *parexec.Engine
+	engine  *parexec.Engine // response bytes, one entry per request key
+	prices  *parexec.Engine // price tables, one entry per (toolchain, machine)
 	limiter *limiter
 	metrics *metrics
 	mux     *http.ServeMux
@@ -85,12 +90,15 @@ type Server struct {
 
 // New builds a server. Model queries go through the certified memo
 // engine: concurrent identical queries coalesce, and completed answers
-// are served from its bounded LRU.
+// are served from its bounded LRU. The price tables live in a second
+// engine, so the cache counters count responses only, and they belong
+// to this server: a new server prices each pair again.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
 		engine:  parexec.NewSerial(),
+		prices:  parexec.NewSerial(),
 		metrics: newMetrics(),
 	}
 	if cfg.Rate > 0 {

@@ -103,13 +103,11 @@ func (tc Toolchain) assemble(compute perfmodel.Body, lanes int) (perfmodel.Body,
 	if unroll < 1 {
 		unroll = 1
 	}
-	body := compute.Repeat(unroll)
-	body = append(body, ins(perfmodel.INT), ins(perfmodel.INT))
+	ctrl := []perfmodel.Instr{ins(perfmodel.INT), ins(perfmodel.INT), ins(perfmodel.BRANCH)}
 	if tc.Style == VLA {
-		body = append(body, ins(perfmodel.PRED))
+		ctrl = []perfmodel.Instr{ins(perfmodel.INT), ins(perfmodel.INT), ins(perfmodel.PRED), ins(perfmodel.BRANCH)}
 	}
-	body = append(body, ins(perfmodel.BRANCH))
-	return body, lanes * unroll
+	return compute.Repeat(unroll, ctrl...), lanes * unroll
 }
 
 // Compile lowers a loop for the given machine. The returned CompiledLoop
