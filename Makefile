@@ -118,7 +118,10 @@ benchrecord:
 
 # Smoke: every product surface end to end, leaving its artifacts for
 # inspection (the `smoke` CI job uploads them).
-#   - trace: one traced NPB kernel through both cmd/ookami-trace
+#   - trace: the NPB EP class S workload, timed and verified by
+#     ookami-bench with -trace (3 repeats: the CoV gate needs at least
+#     2 samples; its report goes to a scratch file so BENCH_ookami.json
+#     stays the gated run's), then through both cmd/ookami-trace
 #     exporters — the summary must aggregate and the conversion must
 #     round-trip (see docs/OBSERVABILITY.md);
 #   - serve: the prediction API on an ephemeral port, every endpoint
@@ -129,7 +132,7 @@ benchrecord:
 #     3x threshold — order-of-magnitude breakage, not drift; and a
 #     record into a scratch baseline file. See docs/BENCHMARKS.md.
 smoke:
-	$(GO) run ./cmd/npbrun -bench EP -class S -threads 4 -model=false -trace trace_ep.json
+	$(GO) run ./cmd/ookami-bench run -filter '^npb/ep-s$$' -repeats 3 -q -trace trace_ep.json -out BENCH_trace_smoke.json
 	$(GO) run ./cmd/ookami-trace summary trace_ep.json
 	$(GO) run ./cmd/ookami-trace chrome -o trace_ep.chrome.json trace_ep.json
 	$(GO) run ./cmd/ookami-trace summary trace_ep.chrome.json > /dev/null
@@ -141,7 +144,7 @@ smoke:
 		-threshold 3.0 -noise-mult 6
 	./ookami-bench.smoke record -update-baseline -baseline BENCH_record_smoke.json \
 		-repeats 3 -filter '^loops/simple$$' -q
-	rm -f ookami-bench.smoke BENCH_record_smoke.json
+	rm -f ookami-bench.smoke BENCH_record_smoke.json BENCH_trace_smoke.json
 
 # The raw `go test -bench` harness (figures/tables + kernel wall-clock).
 gobench:

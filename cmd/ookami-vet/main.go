@@ -48,6 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"log"
 	"os"
@@ -85,11 +86,11 @@ func analyzerGates(name string) string {
 
 // A firewall diffs one surface of the module against its committed
 // baseline, baselineDir/<name>.json. run returns the report lines of
-// the regressions ("file[:line[:col]]: message") and logs its notes;
-// with update it re-records the baseline instead.
+// the regressions ("file[:line[:col]]: message") and logs its notes to
+// lg; with update it re-records the baseline instead.
 type firewall struct {
 	name, doc string
-	run       func(l *analysis.Loader, path string, update bool) ([]string, error)
+	run       func(l *analysis.Loader, path string, update bool, lg *log.Logger) ([]string, error)
 	fail      string // stderr summary of a failing diff, %d = regressions
 }
 
@@ -105,87 +106,121 @@ var firewalls = []firewall{
 func (fw firewall) baseline() string { return baselineDir + "/" + fw.name + ".json" }
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("ookami-vet: ")
-	list := flag.Bool("list", false, "list analyzers and firewalls and exit")
-	only := flag.String("only", "", "comma-separated analyzer and firewall names to run (default: all)")
-	jsonOut := flag.Bool("json", false, "emit one finding per line as JSON")
-	update := flag.Bool("update-baseline", false, "re-record the selected firewalls' baselines instead of running the gates")
-	flag.Parse()
+	cwd, err := os.Getwd()
+	if err != nil {
+		log.New(os.Stderr, "ookami-vet: ", 0).Fatal(err)
+	}
+	os.Exit(run(cwd, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// printer writes to w and keeps the first write error.
+type printer struct {
+	w   io.Writer
+	err error
+}
+
+func (p *printer) f(format string, args ...any) {
+	if p.err == nil {
+		_, p.err = fmt.Fprintf(p.w, format, args...)
+	}
+}
+
+// run is the CLI on the module enclosing dir: findings go to stdout,
+// notes and summaries to stderr, and the result is the exit code (0
+// clean, 1 on a finding, a regression or an error, 2 when the flags do
+// not parse).
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	lg := log.New(stderr, "ookami-vet: ", 0)
+	out := &printer{w: stdout}
+	flags := flag.NewFlagSet("ookami-vet", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	list := flags.Bool("list", false, "list analyzers and firewalls and exit")
+	only := flags.String("only", "", "comma-separated analyzer and firewall names to run (default: all)")
+	jsonOut := flags.Bool("json", false, "emit one finding per line as JSON")
+	update := flags.Bool("update-baseline", false, "re-record the selected firewalls' baselines instead of running the gates")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		lg.Print(err)
+		return 1
+	}
 
 	if *list {
 		for _, a := range allAnalyzers() {
-			fmt.Printf("%-14s %-14s %s\n", a.Name(), analyzerGates(a.Name()), a.Doc())
+			out.f("%-14s %-14s %s\n", a.Name(), analyzerGates(a.Name()), a.Doc())
 		}
 		for _, fw := range firewalls {
-			fmt.Printf("%-14s %-14s %s %s\n", fw.name, fw.name, fw.doc, fw.baseline())
+			out.f("%-14s %-14s %s %s\n", fw.name, fw.name, fw.doc, fw.baseline())
 		}
-		return
+		if out.err != nil {
+			return fail(out.err)
+		}
+		return 0
 	}
 	analyzers, gates, err := selectGates(*only)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
-	cwd, err := os.Getwd()
+	root, err := analysis.FindModuleRoot(dir)
 	if err != nil {
-		log.Fatal(err)
-	}
-	root, err := analysis.FindModuleRoot(cwd)
-	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	l, err := analysis.NewLoader(root)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
 	if *update {
-		if flag.NArg() > 0 {
-			log.Fatal("-update-baseline takes no packages: each firewall keeps the scope its baseline records")
+		if flags.NArg() > 0 {
+			return fail(errors.New("-update-baseline takes no packages: each firewall keeps the scope its baseline records"))
 		}
 		for _, fw := range gates {
-			if _, err := fw.run(l, filepath.Join(root, fw.baseline()), true); err != nil {
-				log.Fatal(err)
+			if _, err := fw.run(l, filepath.Join(root, fw.baseline()), true, lg); err != nil {
+				return fail(err)
 			}
 		}
-		return
+		return 0
 	}
 
 	var findings []analysis.Diagnostic
 	if len(analyzers) > 0 {
-		diags, err := analysis.Vet(l, flag.Args(), analyzers)
+		diags, err := analysis.Vet(l, flags.Args(), analyzers)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		for _, d := range diags {
 			if !*jsonOut {
-				fmt.Println(d)
+				out.f("%s\n", d)
 			}
 		}
 		if len(diags) > 0 {
-			log.Printf("%d finding(s)", len(diags))
+			lg.Printf("%d finding(s)", len(diags))
 		}
 		findings = diags
 	}
 	for _, fw := range gates {
-		regressions, err := fw.run(l, filepath.Join(root, fw.baseline()), false)
+		regressions, err := fw.run(l, filepath.Join(root, fw.baseline()), false, lg)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		for _, r := range regressions {
 			if !*jsonOut {
-				fmt.Println(r)
+				out.f("%s\n", r)
 			}
 			findings = append(findings, reportDiagnostic(fw.name, r))
 		}
 		if len(regressions) > 0 {
-			log.Printf(fw.fail, len(regressions))
+			lg.Printf(fw.fail, len(regressions))
 		}
 	}
 	if *jsonOut {
 		analysis.SortDiagnostics(findings)
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		for _, d := range findings {
 			if err := enc.Encode(jsonFinding{
 				File:     d.Pos.Filename,
@@ -194,13 +229,17 @@ func main() {
 				Analyzer: d.Analyzer,
 				Message:  d.Message,
 			}); err != nil {
-				log.Fatal(err)
+				return fail(err)
 			}
 		}
 	}
-	if len(findings) > 0 {
-		os.Exit(1)
+	if out.err != nil {
+		return fail(out.err)
 	}
+	if len(findings) > 0 {
+		return 1
+	}
+	return 0
 }
 
 // jsonFinding is the -json output schema: one object per line (ndjson),
@@ -274,15 +313,15 @@ func loadBaseline[T any](path string, update bool) (T, error) {
 	return base, nil
 }
 
-// logNotes reports a diff's non-failing observations on stderr.
-func logNotes(notes []string) {
+// logNotes reports a diff's non-failing observations on lg.
+func logNotes(lg *log.Logger, notes []string) {
 	for _, s := range notes {
-		log.Printf("note: %s", s)
+		lg.Printf("note: %s", s)
 	}
 }
 
 // runCompilerDiag is the compilerdiag firewall.
-func runCompilerDiag(l *analysis.Loader, path string, update bool) ([]string, error) {
+func runCompilerDiag(l *analysis.Loader, path string, update bool, lg *log.Logger) ([]string, error) {
 	base, err := loadBaseline[analysis.CompilerBaseline](path, update)
 	if err != nil {
 		return nil, err
@@ -300,20 +339,20 @@ func runCompilerDiag(l *analysis.Loader, path string, update bool) ([]string, er
 		if err := analysis.SaveJSON(path, base); err != nil {
 			return nil, err
 		}
-		log.Printf("wrote %s: %d entr(ies) from %d finding(s) under %s", path, len(base.Entries), len(findings), goVersion)
+		lg.Printf("wrote %s: %d entr(ies) from %d finding(s) under %s", path, len(base.Entries), len(findings), goVersion)
 		return nil, nil
 	}
 	if base.GoVersion != goVersion {
-		log.Printf("warning: baseline was recorded under %s, running under %s; diagnostics may differ for toolchain reasons",
+		lg.Printf("warning: baseline was recorded under %s, running under %s; diagnostics may differ for toolchain reasons",
 			base.GoVersion, goVersion)
 	}
 	regressions, improvements := analysis.DiffBaseline(base, findings)
-	logNotes(improvements)
+	logNotes(lg, improvements)
 	return regressions, nil
 }
 
 // runConcSurface is the concsurface firewall.
-func runConcSurface(l *analysis.Loader, path string, update bool) ([]string, error) {
+func runConcSurface(l *analysis.Loader, path string, update bool, lg *log.Logger) ([]string, error) {
 	base, err := loadBaseline[conc.SurfaceBaseline](path, update)
 	if err != nil {
 		return nil, err
@@ -327,16 +366,16 @@ func runConcSurface(l *analysis.Loader, path string, update bool) ([]string, err
 		if err := analysis.SaveJSON(path, base); err != nil {
 			return nil, err
 		}
-		log.Printf("wrote %s: %d entr(ies) from %d site(s)", path, len(base.Entries), len(sites))
+		lg.Printf("wrote %s: %d entr(ies) from %d site(s)", path, len(base.Entries), len(sites))
 		return nil, nil
 	}
 	growth, shrinkage := conc.DiffSurface(base, sites)
-	logNotes(shrinkage)
+	logNotes(lg, shrinkage)
 	return growth, nil
 }
 
 // runParsafe is the parsafe firewall.
-func runParsafe(l *analysis.Loader, path string, update bool) ([]string, error) {
+func runParsafe(l *analysis.Loader, path string, update bool, lg *log.Logger) ([]string, error) {
 	base, err := loadBaseline[purity.ParsafeBaseline](path, update)
 	if err != nil {
 		return nil, err
@@ -350,10 +389,10 @@ func runParsafe(l *analysis.Loader, path string, update bool) ([]string, error) 
 		if err := analysis.SaveJSON(path, base); err != nil {
 			return nil, err
 		}
-		log.Printf("wrote %s: %d certified entry point(s)", path, len(base.Entries))
+		lg.Printf("wrote %s: %d certified entry point(s)", path, len(base.Entries))
 		return nil, nil
 	}
 	regressions, notes := purity.DiffParsafe(base, funcs)
-	logNotes(notes)
+	logNotes(lg, notes)
 	return regressions, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,38 +12,24 @@ import (
 	"testing"
 )
 
-// The CLI contract is exercised by re-executing the test binary as
-// ookami-vet (TestMain dispatches on an env var), so exit codes and
-// stream separation are tested exactly as a caller sees them.
+// The CLI runs in process through run, with the module directory and
+// the streams injected, so the standard library is type-checked once
+// per test binary. One test re-executes the binary as ookami-vet
+// (TestMain dispatches on an env var), so the exit code and stream
+// separation are also tested exactly as a caller sees them.
 
 func TestMain(m *testing.M) {
 	if os.Getenv("OOKAMI_VET_BE_MAIN") == "1" {
 		main()
-		os.Exit(0)
 	}
 	os.Exit(m.Run())
 }
 
-// runVet re-executes the test binary as the CLI in dir with args.
+// runVet runs the CLI in process on the module at dir with args.
 func runVet(t *testing.T, dir string, args ...string) (stdout, stderr string, exitCode int) {
 	t.Helper()
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(exe, args...)
-	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "OOKAMI_VET_BE_MAIN=1")
 	var out, errb bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errb
-	err = cmd.Run()
-	code := 0
-	if ee, ok := err.(*exec.ExitError); ok {
-		code = ee.ExitCode()
-	} else if err != nil {
-		t.Fatal(err)
-	}
+	code := run(dir, args, &out, &errb)
 	return out.String(), errb.String(), code
 }
 
@@ -125,18 +112,33 @@ func writeModule(t *testing.T) string {
 	return newModule(t, map[string]string{"internal/loops/kernel.go": dirtyKernel})
 }
 
+// TestCLIFindingsExitNonzero re-executes the test binary as the
+// CLI: the process must exit 1, with the finding on stdout and the
+// summary on stderr only.
 func TestCLIFindingsExitNonzero(t *testing.T) {
 	root := writeModule(t)
 	recordBaselines(t, root, "internal/loops")
-	stdout, stderr, code := runVet(t, root, "./...")
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(stdout, "hotappend") {
-		t.Errorf("finding missing from stdout:\n%s", stdout)
+	cmd := exec.Command(exe, "./...")
+	cmd.Dir = root
+	cmd.Env = append(os.Environ(), "OOKAMI_VET_BE_MAIN=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &errb
+	err = cmd.Run()
+	stdout, stderr := out.String(), errb.String()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("exit = %v, want code 1\nstdout:\n%s\nstderr:\n%s", err, stdout, stderr)
 	}
-	if !strings.Contains(stderr, "finding(s)") {
-		t.Errorf("summary missing from stderr:\n%s", stderr)
+	if !strings.Contains(stdout, "hotappend") || strings.Contains(stdout, "finding(s)") {
+		t.Errorf("stdout must hold the finding and no summary:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "finding(s)") || strings.Contains(stderr, "hotappend") {
+		t.Errorf("stderr must hold the summary and no finding:\n%s", stderr)
 	}
 }
 

@@ -1,12 +1,9 @@
 package hpcc
 
 import (
-	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
-	"ookami/internal/machine"
 	"ookami/internal/omp"
 	"ookami/internal/rng"
 	"ookami/internal/sve"
@@ -15,7 +12,7 @@ import (
 // wallTime measures the wall-clock duration of fn in seconds. This is
 // the one place the package touches the clock: host measurements
 // (RunStream, RunGUPS) report rates, not golden artifacts — the golden
-// figures only consume the analytical models below.
+// figures only consume the package's analytical models.
 func wallTime(fn func()) float64 {
 	t0 := time.Now() //ookami:nolint determinism -- host wall-clock measurement, not golden output
 	fn()
@@ -25,8 +22,9 @@ func wallTime(fn func()) float64 {
 // The remaining HPCC members the paper's bandwidth analysis leans on
 // implicitly: STREAM (the sustained-bandwidth yardstick behind the
 // "higher memory bandwidth" explanation of Figure 4) and RandomAccess
-// (GUPS, the latency-bound pole that CG approximates). Both have real
-// kernels plus per-machine models derived from the machine descriptions.
+// (GUPS, the latency-bound pole that CG approximates). Both are real
+// host kernels; the per-machine stream and random bandwidth they stand
+// for is modelled once, by perfmodel.EffectiveBW.
 
 // StreamResult reports one STREAM kernel's measured rate.
 type StreamResult struct {
@@ -90,21 +88,6 @@ func RunStream(team *omp.Team, n, reps int) []StreamResult {
 	return results
 }
 
-// ModelStreamTriad predicts the STREAM triad rate (GB/s) for p threads on
-// machine m — the numbers behind the paper's "can be attributed to higher
-// memory bandwidth" reading of Figure 4.
-//
-//ookami:pure analytic model, no simulation state
-func ModelStreamTriad(m machine.Machine, p int) float64 {
-	if p < 1 {
-		p = 1
-	}
-	if p > m.Cores {
-		p = m.Cores
-	}
-	return math.Min(float64(p)*m.StreamBWCore(), m.MemBWNode) * 0.92 // triad reaches ~92% of peak stream
-}
-
 // GUPSResult reports a RandomAccess run.
 type GUPSResult struct {
 	TableWords int
@@ -159,24 +142,4 @@ func RunGUPS(team *omp.Team, logSize, updates int) GUPSResult {
 		GUPS:       float64(updates) / t / 1e9,
 		ErrorFrac:  float64(wrong) / float64(size),
 	}
-}
-
-// ModelGUPS predicts the RandomAccess rate for p threads on machine m
-// from its random-access bandwidth (8-byte updates, read+write).
-//
-//ookami:pure analytic model, no simulation state
-func ModelGUPS(m machine.Machine, p int) float64 {
-	if p < 1 {
-		p = 1
-	}
-	if p > m.Cores {
-		p = m.Cores
-	}
-	bw := math.Min(float64(p)*m.RandomBWCore(), m.RandomBWNode())
-	return bw * 1e9 / 16 / 1e9 // updates/s in G, 16 bytes per update
-}
-
-// String renders a STREAM result line.
-func (r StreamResult) String() string {
-	return fmt.Sprintf("%-6s %8.2f GB/s", r.Kernel, r.GBs)
 }

@@ -5,6 +5,7 @@ import (
 
 	"ookami/internal/machine"
 	"ookami/internal/omp"
+	"ookami/internal/perfmodel"
 )
 
 func TestRunStreamProducesSaneRates(t *testing.T) {
@@ -23,9 +24,6 @@ func TestRunStreamProducesSaneRates(t *testing.T) {
 		}
 		if r.Checksum == 0 {
 			t.Errorf("%s checksum zero — work elided?", r.Kernel)
-		}
-		if r.String() == "" {
-			t.Error("empty render")
 		}
 	}
 }
@@ -47,13 +45,22 @@ func TestStreamKernelsComputeCorrectValues(t *testing.T) {
 	}
 }
 
+// modelRates gives the STREAM triad rate (GB/s) and the RandomAccess
+// rate (G updates/s) that p threads on m sustain under first-touch:
+// triad reaches ~92% of the stream bandwidth, and each 8-byte update
+// reads and writes 16 bytes of random-access bandwidth.
+func modelRates(m machine.Machine, p int) (triad, gups float64) {
+	stream, random := perfmodel.EffectiveBW(m, p, perfmodel.FirstTouch, 0)
+	return stream * 0.92, random / 16
+}
+
 func TestModelStreamTriadShape(t *testing.T) {
 	// Single core: a fraction of node bandwidth; full node: saturates
 	// near the machine's aggregate, with A64FX >> Skylake — the paper's
 	// bandwidth argument.
-	a1 := ModelStreamTriad(machine.A64FX, 1)
-	a48 := ModelStreamTriad(machine.A64FX, 48)
-	s36 := ModelStreamTriad(machine.SkylakeGold6140, 36)
+	a1, _ := modelRates(machine.A64FX, 1)
+	a48, _ := modelRates(machine.A64FX, 48)
+	s36, _ := modelRates(machine.SkylakeGold6140, 36)
 	if a1 >= a48 {
 		t.Error("stream must scale with threads")
 	}
@@ -62,13 +69,6 @@ func TestModelStreamTriadShape(t *testing.T) {
 	}
 	if a48/s36 < 3 {
 		t.Errorf("A64FX/Skylake triad ratio %.1f, want ~4x", a48/s36)
-	}
-	// Clamps.
-	if ModelStreamTriad(machine.A64FX, 0) != a1 {
-		t.Error("p<1 clamp")
-	}
-	if ModelStreamTriad(machine.A64FX, 999) != a48 {
-		t.Error("p>cores clamp")
 	}
 }
 
@@ -99,14 +99,14 @@ func TestRunGUPSSerialIsExact(t *testing.T) {
 
 func TestModelGUPSShape(t *testing.T) {
 	// A64FX's random-access weakness: per-core GUPS well under Skylake's.
-	a1 := ModelGUPS(machine.A64FX, 1)
-	s1 := ModelGUPS(machine.SkylakeGold6140, 1)
+	_, a1 := modelRates(machine.A64FX, 1)
+	_, s1 := modelRates(machine.SkylakeGold6140, 1)
 	if a1 >= s1 {
 		t.Errorf("A64FX single-core GUPS (%v) should trail Skylake (%v)", a1, s1)
 	}
 	// At full node the HBM's parallelism turns the tables.
-	a48 := ModelGUPS(machine.A64FX, 48)
-	s36 := ModelGUPS(machine.SkylakeGold6140, 36)
+	_, a48 := modelRates(machine.A64FX, 48)
+	_, s36 := modelRates(machine.SkylakeGold6140, 36)
 	if a48 <= s36 {
 		t.Errorf("A64FX node GUPS (%v) should beat Skylake (%v)", a48, s36)
 	}

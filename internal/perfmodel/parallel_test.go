@@ -74,6 +74,36 @@ func TestSkylakeFrequencyDroopCapsEfficiency(t *testing.T) {
 	}
 }
 
+func TestEffectiveBWShape(t *testing.T) {
+	// The paper's bandwidth argument behind Fig. 4 under first-touch:
+	// stream bandwidth scales to near 1 TB/s on A64FX, well above
+	// Skylake's node, while A64FX random access trails Skylake per core
+	// and leads it only at full node, where the HBM's parallelism counts.
+	bw := func(m machine.Machine, p int) (stream, random float64) {
+		return EffectiveBW(m, p, FirstTouch, 0)
+	}
+	a1, ar1 := bw(machine.A64FX, 1)
+	a48, ar48 := bw(machine.A64FX, 48)
+	s1, sr1 := bw(machine.SkylakeGold6140, 1)
+	s36, sr36 := bw(machine.SkylakeGold6140, 36)
+	if a1 >= a48 || s1 >= s36 {
+		t.Errorf("stream must scale with threads: A64FX %v -> %v, Skylake %v -> %v", a1, a48, s1, s36)
+	}
+	// STREAM triad reaches ~92% of this, 800-1024 GB/s.
+	if a48 < 870 || a48 > 1113 {
+		t.Errorf("A64FX node stream %v GB/s, want near 1 TB/s", a48)
+	}
+	if a48/s36 < 3 {
+		t.Errorf("A64FX/Skylake node stream ratio %.1f, want ~4x", a48/s36)
+	}
+	if ar1 >= sr1 {
+		t.Errorf("A64FX single-core random bandwidth (%v) should trail Skylake (%v)", ar1, sr1)
+	}
+	if ar48 <= sr36 {
+		t.Errorf("A64FX node random bandwidth (%v) should beat Skylake (%v)", ar48, sr36)
+	}
+}
+
 func TestCMG0PlacementPenalty(t *testing.T) {
 	// The Fujitsu default placement serves all traffic from CMG 0: a
 	// stream-bound app at 48 threads must slow down substantially, and
