@@ -50,7 +50,8 @@ fuzz-purity:
 
 # Short fuzz pass over the scheduler: on any body and profile, the
 # event-driven core must match the cycle-stepped reference exactly
-# (total cycles, every issue event, the utilization).
+# (total cycles, every issue event, the utilization), and so must the
+# breakdown's one-run reading (cycles, busy counts, critical op).
 fuzz-sched:
 	$(GO) test ./internal/perfmodel -run '^$$' -fuzz=FuzzScheduleEquivalence -fuzztime=30s
 

@@ -188,7 +188,13 @@ func doRun(cfg *runConfig, out, errOut *printer) int {
 	}
 	rep := bench.RunAll(context.Background(), ws, opt)
 	if tp := effectiveTracePath(cfg.tracePath); tp != "" || trace.Enabled() {
-		if err := trace.Finish(tp, nil); err != nil {
+		// With no file to write (the boolean OOKAMI_TRACE), the summary
+		// table on stderr is the trace's only output.
+		var summary io.Writer
+		if tp == "" && !cfg.quiet {
+			summary = errOut.w
+		}
+		if err := trace.Finish(tp, summary); err != nil {
 			errOut.f("ookami-bench: trace: %v\n", err)
 			return 1
 		}

@@ -14,6 +14,7 @@ import (
 
 	"ookami/internal/bench"
 	"ookami/internal/testutil"
+	"ookami/internal/trace"
 )
 
 // TestRegistryCoverage pins the acceptance floor: the registry must
@@ -133,6 +134,33 @@ func TestRunEmitsSchemaVersionedJSON(t *testing.T) {
 	for _, r := range rep.Results {
 		if r.Median <= 0 || math.IsNaN(r.CoV) || !(r.CILow <= r.Median && r.Median <= r.CIHigh) {
 			t.Errorf("%s: incomplete stats %+v", r.Name, r)
+		}
+	}
+}
+
+// TestRunBooleanTracePrintsSummary covers the boolean OOKAMI_TRACE=1:
+// it names no file, so the run must print the trace summary to stderr
+// rather than drop what it collected. -q keeps stderr quiet.
+func TestRunBooleanTracePrintsSummary(t *testing.T) {
+	t.Setenv("OOKAMI_TRACE", "1")
+	t.Cleanup(trace.Disable)
+	dir := t.TempDir()
+	for _, quiet := range []bool{false, true} {
+		trace.Enable() // what the trace package's init does under OOKAMI_TRACE=1
+		args := []string{"run", "-filter", `^loops/simple$`, "-repeats", "2", "-cov", "10",
+			"-out", filepath.Join(dir, "BENCH_ookami.json")}
+		if quiet {
+			args = append(args, "-q")
+		}
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Fatalf("run exited %d: %s", code, errOut.String())
+		}
+		if got := strings.Contains(errOut.String(), "trace summary:"); got == quiet {
+			t.Errorf("quiet=%v: summary printed = %v; stderr:\n%s", quiet, got, errOut.String())
+		}
+		if trace.Enabled() {
+			t.Errorf("quiet=%v: tracing still on after the run", quiet)
 		}
 	}
 }

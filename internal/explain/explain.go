@@ -156,8 +156,7 @@ func Machines() []MachineInfo {
 	return out
 }
 
-// Breakdown is the typed schedule breakdown of a vectorized loop — the
-// structured form of perfmodel.Explain's text.
+// Breakdown is the typed schedule breakdown of a vectorized loop.
 type Breakdown struct {
 	Instructions   int     `json:"instructions"`
 	FPInstructions int     `json:"fpInstructions"`
@@ -173,46 +172,42 @@ type Breakdown struct {
 	IntUtilPct   float64 `json:"intUtilPct"`
 	IPC          float64 `json:"ipc"`
 	// CriticalIndex/Op name the body instruction whose result completes
-	// last in a steady-state iteration (-1 when the trace is empty).
+	// last in a steady-state iteration (-1 for an empty body).
 	CriticalIndex int    `json:"criticalIndex"`
 	CriticalOp    string `json:"criticalOp,omitempty"`
 }
 
-// breakdownIters matches perfmodel.Explain's trace length so the typed
-// numbers and the legacy text agree exactly.
-const breakdownIters = 64
-
-// NewBreakdown runs the instrumented scheduler over a compiled loop body
-// and returns the typed breakdown.
+// NewBreakdown runs the scheduler over a compiled loop body and returns
+// the typed breakdown.
 //
-//ookami:pure instrumented schedule of a fresh body
+//ookami:pure schedule of a fresh body
 func NewBreakdown(p *perfmodel.Profile, body perfmodel.Body, elemsPerIter int) Breakdown {
-	events, util := p.ScheduleTrace(body, breakdownIters)
-	cpi := p.CyclesPerIter(body)
+	var sc perfmodel.Scheduler
+	return newBreakdown(&sc, p, body, elemsPerIter)
+}
+
+// newBreakdown is NewBreakdown on sc's buffers. Everything comes off one
+// CyclesPerIter run: the rate, the 64-iteration run's utilization and
+// its critical instruction.
+func newBreakdown(sc *perfmodel.Scheduler, p *perfmodel.Profile, body perfmodel.Body, elemsPerIter int) Breakdown {
+	st := sc.SteadyState(p, body)
+	util := st.Util
 	b := Breakdown{
 		Instructions:   len(body),
 		FPInstructions: body.CountFP(),
 		Window:         p.Window,
 		IssueWidth:     p.IssueWidth,
 		ElemsPerIter:   elemsPerIter,
-		CyclesPerIter:  cpi,
+		CyclesPerIter:  st.CyclesPerIter,
 		FPUtilPct:      100 * float64(util.FPBusy) / float64(util.Cycles*p.FPPipes),
 		LoadUtilPct:    100 * float64(util.LoadBusy) / float64(util.Cycles*p.LoadPipes),
 		StoreUtilPct:   100 * float64(util.StoreBusy) / float64(util.Cycles*p.StorePipes),
 		IntUtilPct:     100 * float64(util.IntBusy) / float64(util.Cycles*p.IntPipes),
 		IPC:            util.IPC,
-		CriticalIndex:  -1,
+		CriticalIndex:  st.Critical,
 	}
 	if elemsPerIter > 0 {
-		b.CyclesPerElem = cpi / float64(elemsPerIter)
-	}
-	mid := breakdownIters / 2
-	latest := -1
-	for _, e := range events {
-		if e.Iter == mid && e.Done > latest {
-			latest = e.Done
-			b.CriticalIndex = e.Index
-		}
+		b.CyclesPerElem = st.CyclesPerIter / float64(elemsPerIter)
 	}
 	if b.CriticalIndex >= 0 {
 		b.CriticalOp = body[b.CriticalIndex].Op.String()
@@ -220,8 +215,8 @@ func NewBreakdown(p *perfmodel.Profile, body perfmodel.Body, elemsPerIter int) B
 	return b
 }
 
-// Text renders the breakdown in perfmodel.Explain's format (byte-for-byte
-// — the CLI's golden tests pin it).
+// Text renders the breakdown as the ookami-explain CLI prints it (its
+// golden tests pin the bytes).
 func (b Breakdown) Text() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "body: %d instructions (%d FP), window %d, issue %d\n",
@@ -262,6 +257,12 @@ type Result struct {
 //
 //ookami:pure compile + schedule of fresh bodies
 func Explain(tc toolchain.Toolchain, l toolchain.Loop, m machine.Machine) (Result, error) {
+	var sc perfmodel.Scheduler
+	return explainOn(&sc, tc, l, m)
+}
+
+// explainOn is Explain with the schedule run on sc's buffers.
+func explainOn(sc *perfmodel.Scheduler, tc toolchain.Toolchain, l toolchain.Loop, m machine.Machine) (Result, error) {
 	if !tc.Supports(m) {
 		return Result{}, fmt.Errorf("toolchain %s does not target %s (%s)", tc.Name, m.Name, m.ISA)
 	}
@@ -283,7 +284,7 @@ func Explain(tc toolchain.Toolchain, l toolchain.Loop, m machine.Machine) (Resul
 		r.SerialCyclesPerElem = c.SerialCyclesPerElem
 		return r, nil
 	}
-	b := NewBreakdown(prof, c.Body, c.ElemsPerIter)
+	b := newBreakdown(sc, prof, c.Body, c.ElemsPerIter)
 	r.Breakdown = &b
 	return r, nil
 }

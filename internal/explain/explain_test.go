@@ -9,28 +9,8 @@ import (
 
 	"ookami/internal/machine"
 	"ookami/internal/npb"
-	"ookami/internal/perfmodel"
 	"ookami/internal/toolchain"
 )
-
-// The typed breakdown must render exactly what perfmodel.Explain renders:
-// the CLI's golden files pin the text, this pins the typed layer under it.
-func TestBreakdownTextMatchesPerfmodelExplain(t *testing.T) {
-	for _, tc := range toolchain.OnA64FX {
-		for _, l := range AllLoops {
-			c := tc.Compile(l, machine.A64FX)
-			if !c.Vectorized {
-				continue
-			}
-			prof, _ := perfmodel.ProfileFor(machine.A64FX.Name)
-			want := prof.Explain(c.Body, c.ElemsPerIter)
-			got := NewBreakdown(prof, c.Body, c.ElemsPerIter).Text()
-			if got != want {
-				t.Errorf("%s/%s: typed text diverged\n got: %q\nwant: %q", tc.Name, l, got, want)
-			}
-		}
-	}
-}
 
 func TestExplainScalarFallback(t *testing.T) {
 	r, err := Explain(toolchain.GNU, toolchain.LoopExp, machine.A64FX)

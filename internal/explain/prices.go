@@ -31,15 +31,17 @@ type loopPrice struct {
 }
 
 // PricePair prices every loop of AllLoops for tc on m: 11 compiles and
-// schedules, the whole in-core cost of every prediction on the pair. On
-// a 2-vCPU Xeon one table takes about 9 ms, against about 1 ms for the
-// one loop a single Predict call prices.
+// schedules, the whole in-core cost of every prediction on the pair. The
+// 11 schedules run on one perfmodel.Scheduler's buffers. On a 2-vCPU
+// Xeon the 7 tables of the resolved pairs take about 20 ms together
+// (BenchmarkPricePair), under 3 ms a table on average.
 //
 //ookami:pure compiles and schedules fresh bodies into a fresh table
 func PricePair(tc toolchain.Toolchain, m machine.Machine) *PairPrices {
 	t := &PairPrices{tc: tc, m: m, loops: make([]loopPrice, len(AllLoops))}
+	var sc perfmodel.Scheduler
 	for i, l := range AllLoops {
-		r, err := Explain(tc, l, m)
+		r, err := explainOn(&sc, tc, l, m)
 		t.loops[i] = loopPrice{r: r, err: err}
 	}
 	t.math = MathCost(m, func(l toolchain.Loop) float64 {

@@ -151,13 +151,18 @@ func compiledBodies(t testing.TB) (sels []byte, codes [][]byte) {
 // corpus is every body shape toolchain.Compile emits, at the 64 and 128
 // iterations CyclesPerIter runs (long enough for most to skip repeated
 // iterations and then simulate the drain), plus the corner profiles
-// committed under testdata/fuzz.
+// committed under testdata/fuzz. Each input also checks the breakdown's
+// one-run reading of the body (cycles, busy counts and critical
+// instruction of 64 iterations) against the reference, on a Scheduler
+// reused from input to input; its rate is checked against Schedule's
+// 128-iteration run.
 func FuzzScheduleEquivalence(f *testing.F) {
 	sels, codes := compiledBodies(f)
 	for i := range codes {
 		f.Add([]byte{sels[i]}, codes[i], uint8(63))
 		f.Add([]byte{sels[i]}, codes[i], uint8(127))
 	}
+	var sc pm.Scheduler
 	f.Fuzz(func(t *testing.T, sel, code []byte, iters uint8) {
 		body := decodeBody(code)
 		if len(body) == 0 {
@@ -167,6 +172,8 @@ func FuzzScheduleEquivalence(f *testing.F) {
 		// one input stays well under a second (every seed fits, and a
 		// body of at most 256 instructions still gets 64 iterations).
 		n := min(1+int(iters)%128, maxDynamic/len(body))
-		checkAgainstRef(t, decodeProfile(sel), body, n)
+		p := decodeProfile(sel)
+		checkAgainstRef(t, p, body, n)
+		checkSteadyState(t, &sc, p, body, 1, p.Schedule(body, 128))
 	})
 }

@@ -27,13 +27,14 @@ import (
 // Each simulated cycle retires completed instructions in order, admits new
 // ones while the window has room, then issues ready instructions
 // oldest-first up to the issue width. The core is event-driven: it keeps
-// the ready instructions in a bitset (and the ones waiting on a producer's
-// latency in a min-heap keyed by ready time), so a cycle costs work
-// proportional to what can issue rather than to the window size, and a
-// cycle in which nothing new can happen is skipped outright. Only the
-// instructions from the window to the reach of its consumers are live, so
-// their state sits in a ring of a few hundred entries, whatever the
-// iteration count.
+// the ready instructions in bitsets, one per issue class and one for their
+// union (and the ones waiting on a producer's latency in a min-heap keyed
+// by ready time), so a cycle costs work proportional to what can issue
+// rather than to the window size or to the ready instructions whose pipes
+// are busy, and a cycle in which nothing new can happen is skipped
+// outright. Only the instructions from the window to the reach of its
+// consumers are live, so their state sits in a ring of a few hundred
+// entries, whatever the iteration count.
 //
 // Schedule also skips the periodic steady state. The core is
 // deterministic, so once its state at the start of an iteration, taken
@@ -46,7 +47,9 @@ import (
 // window and the carried dependences reach the last iteration — to be
 // simulated for real. The answer is bit-identical to the full run.
 // CyclesPerIter runs the prefix its 64- and 128-iteration runs share only
-// once. ScheduleTrace always runs in full, since it records every issue.
+// once. A Scheduler reads a body's utilization and critical instruction
+// off that same pair of runs, on buffers it keeps from one body to the
+// next.
 
 // notIssued is the done time of an instruction that has not issued. It
 // compares greater than every cycle, so "done <= cycle" also means
@@ -66,6 +69,25 @@ type coreInstr struct {
 	readyAt int32 // latest done time among the producers issued so far
 	pending int32 // producers not yet issued
 	op      uint8
+	class   uint8 // issueClass(op)
+}
+
+// An issue class is a set of ops that compete for the same pipes: one
+// class per pipe kind, except that FDIV and FSQRT, which issue to FP pipe
+// 0 only, form a class of their own. A pipe's free time only grows within
+// a cycle, so once an op finds every pipe of its class busy, no op of the
+// class can issue for the rest of the cycle.
+const numClasses = int(numPipeKinds) + 1
+
+// readyRow is the number of ready words per 64 instructions: one per issue
+// class and, last, their union.
+const readyRow = numClasses + 1
+
+func issueClass(op Op) uint8 {
+	if op == FDIV || op == FSQRT {
+		return uint8(numPipeKinds)
+	}
+	return uint8(pipeTab[op])
 }
 
 // waiter is an entry of the wait heap: instruction g becomes ready at at.
@@ -74,8 +96,22 @@ type waiter struct {
 	g  int32
 }
 
+// coreBuffers are the slices a run owns. reset and forkFrom keep them, so
+// a Scheduler's runs allocate only when a body needs more room than the
+// bodies before it.
+type coreBuffers struct {
+	instrs []coreInstr
+	ready  []uint64
+	wait   []waiter
+	slots  []int
+	state  []int32      // cur and saved, side by side
+	events []IssueEvent // the kept issues
+}
+
 // schedCore is one run of the scheduler over iters copies of a body.
 type schedCore struct {
+	coreBuffers
+
 	p     *Profile
 	body  Body
 	n     int // body length
@@ -87,17 +123,16 @@ type schedCore struct {
 	// consumer, n+j for a consumer in the next iteration.
 	start, cons []int32
 
-	// Instruction g lives in instrs[g&mask], its ready bit in word
-	// g>>6&wmask. The ring covers head's bitset word up to head+Window+2n,
-	// the furthest the window's consumers reach, so no live instruction
-	// or ready bit shares a slot with another. filled is one past the
-	// last instruction put in the ring.
-	instrs      []coreInstr
-	ready       []uint64 // in window, producers all done
+	// Instruction g lives in instrs[g&mask], its ready bits in row
+	// g>>6&wmask of ready, readyRow words wide. The ring covers head's row
+	// up to head+Window+2n, the furthest the window's consumers reach, so
+	// no live instruction or ready bit shares a slot with another. filled
+	// is one past the last instruction put in the ring. ready marks the
+	// instructions in the window whose producers are all done; wait is a
+	// min-heap of those whose producers have issued but whose results are
+	// not yet available; slots holds, per pipe, the cycle it is free again.
 	mask, wmask int
 	filled      int
-	wait        []waiter // min-heap: in window, producers issued, results not yet available
-	slots       []int    // per pipe: the cycle it is free again
 	kinds       [numPipeKinds + 1]int
 
 	head, tail, cycle, issued, last int
@@ -107,17 +142,19 @@ type schedCore struct {
 	// CyclesPerIter's two runs share. math.MaxInt otherwise.
 	forkAt int
 
-	events []IssueEvent // nil unless tracing
-	util   *Utilization // nil unless tracing
+	// The issue of instruction keep+k is recorded in events[k]. No jump
+	// of the steady-state skip covers one of them.
+	keep int
 
-	// The steady-state skip (see observe): whether it is still looking for
-	// a repeat, the first instruction of the next iteration boundary, the
-	// boundaries seen, the state saved at one of them (with its iteration
-	// and cycle) and scratch for the current one. Once a repeat is found,
-	// period and periodCycles are its length in instructions and cycles.
-	// skipped counts the instructions this run did not simulate.
-	seeking              bool
-	nextBoundary, seen   int
+	// The steady-state skip (see observe): the first instruction of the
+	// next loop top at which observe runs (math.MaxInt once it has
+	// nothing left to do), the boundaries seen, the state saved at one of
+	// them (with its iteration and cycle) and scratch for the current
+	// one. Once a repeat is found, period and periodCycles are its length
+	// in instructions and cycles. skipped counts the instructions this
+	// run did not simulate.
+	next                 int
+	seen                 int
 	saved, cur           []int32
 	savedIter, savedAt   int
 	period, periodCycles int
@@ -139,7 +176,8 @@ func (p *Profile) schedule(body Body, iters int) (cycles, simulated int) {
 	if !runnable(body, iters) {
 		return 0, 0
 	}
-	s := p.newCore(body, iters, nil, nil)
+	var s schedCore
+	s.reset(p, body, iters)
 	s.run()
 	return s.last, s.simulated()
 }
@@ -153,19 +191,17 @@ func runnable(body Body, iters int) bool {
 	return len(body) > 0 && iters > 0
 }
 
-// newCore sets up a run of iters iterations of a non-empty body. With
-// events and util non-nil the run records every issue (events has one
-// slot per dynamic instruction) and the busy pipe-cycles, and simulates
-// every iteration; otherwise it skips the periodic steady state. It panics
-// on an invalid body and on a profile that cannot issue some op of the
-// body.
-func (p *Profile) newCore(body Body, iters int, events []IssueEvent, util *Utilization) schedCore {
+// reset sets s up for a run of iters iterations of a non-empty body that
+// skips the periodic steady state and records no issue, on s's buffers.
+// It panics on an invalid body and on a profile that cannot issue some op
+// of the body.
+func (s *schedCore) reset(p *Profile, body Body, iters int) {
 	if !body.Validate() {
 		panic("perfmodel: invalid body")
 	}
 	p.checkCanIssue(body)
-	s := schedCore{p: p, body: body, n: len(body), total: len(body) * iters,
-		costs: p.costTab, forkAt: math.MaxInt, events: events, util: util, seeking: events == nil}
+	*s = schedCore{coreBuffers: s.coreBuffers, start: s.start, cons: s.cons,
+		p: p, body: body, n: len(body), total: len(body) * iters, costs: p.costTab, forkAt: math.MaxInt}
 	if s.costs == nil {
 		// A profile built outside ProfileFor gets a run-local table (never
 		// cached back — Schedule stays free of shared-state writes).
@@ -173,25 +209,34 @@ func (p *Profile) newCore(body Body, iters int, events []IssueEvent, util *Utili
 	}
 	s.buildConsumers()
 	s.makeRing()
-	s.wait = make([]waiter, 0, min(p.Window, s.total))
+	s.wait = resize(s.wait, min(p.Window, s.total))[:0]
 	for k := pipeKind(0); k < numPipeKinds; k++ {
 		s.kinds[k+1] = s.kinds[k] + p.pipes(k)
 	}
-	s.slots = make([]int, s.kinds[numPipeKinds])
-	if s.seeking {
-		s.cur, s.saved = s.stateBuffers(nil)
-	}
+	s.slots = resize(s.slots, s.kinds[numPipeKinds])
+	s.events = s.events[:0]
+	s.stateBuffers(nil)
 	s.fill(s.reach())
-	return s
 }
 
-// makeRing allocates an empty ring for the run. It spans at least 64
-// slots (one bitset word) beyond the live range: at most Window+2n
+// resize returns buf with n zero elements, reusing its array when it has
+// room.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// makeRing sets up an empty ring for the run. It spans at least 64 slots
+// (one bitset word) beyond the live range: at most Window+2n
 // instructions, or total if that is fewer.
 func (s *schedCore) makeRing() {
 	size := 1 << bits.Len(uint(min(s.total, s.p.Window+2*s.n)+63))
-	s.instrs = make([]coreInstr, size)
-	s.ready = make([]uint64, size/64)
+	s.instrs = resize(s.instrs, size)
+	s.ready = resize(s.ready, size/64*readyRow)
 	s.mask, s.wmask = size-1, size/64-1
 }
 
@@ -207,7 +252,7 @@ func (s *schedCore) run() {
 		for int(s.instrs[s.head&s.mask].done) <= s.cycle {
 			s.head++
 		}
-		if s.seeking && s.head >= s.nextBoundary {
+		if s.head >= s.next {
 			s.observe()
 		}
 		if s.head+p.Window+2*s.n > s.forkAt {
@@ -255,7 +300,7 @@ func (p *Profile) checkCanIssue(body Body) {
 // buildConsumers inverts the body's Deps and Carried lists into start/cons.
 func (s *schedCore) buildConsumers() {
 	n := s.n
-	s.start = make([]int32, n+1)
+	s.start = resize(s.start, n+1)
 	for _, ins := range s.body {
 		for _, d := range ins.Deps {
 			s.start[d+1]++
@@ -269,7 +314,7 @@ func (s *schedCore) buildConsumers() {
 	}
 	// Fill using start[i] as i's cursor; afterwards start[i] is i's end,
 	// so shift it back by one slot.
-	s.cons = make([]int32, s.start[n])
+	s.cons = resize(s.cons, int(s.start[n]))
 	for j, ins := range s.body {
 		for _, d := range ins.Deps {
 			s.cons[s.start[d]] = int32(j)
@@ -294,7 +339,7 @@ func (s *schedCore) fill(lim int) {
 		if g >= s.n {
 			pending += len(ins.Carried)
 		}
-		s.instrs[g&s.mask] = coreInstr{done: notIssued, pending: int32(pending), op: uint8(ins.Op)}
+		s.instrs[g&s.mask] = coreInstr{done: notIssued, pending: int32(pending), op: uint8(ins.Op), class: issueClass(ins.Op)}
 	}
 }
 
@@ -311,30 +356,57 @@ func (s *schedCore) enqueue(g int) {
 	}
 }
 
-func (s *schedCore) markReady(g int) { s.ready[g>>6&s.wmask] |= 1 << (g & 63) }
+// markReady and clearReady set and clear g's ready bit in the word of its
+// issue class and in the union.
+func (s *schedCore) markReady(g int) {
+	row, bit := (g>>6&s.wmask)*readyRow, uint64(1)<<(g&63)
+	s.ready[row+int(s.instrs[g&s.mask].class)] |= bit
+	s.ready[row+numClasses] |= bit
+}
 
-func (s *schedCore) isReady(g int) bool { return s.ready[g>>6&s.wmask]>>(g&63)&1 != 0 }
+func (s *schedCore) clearReady(g int) {
+	row, bit := (g>>6&s.wmask)*readyRow, uint64(1)<<(g&63)
+	s.ready[row+int(s.instrs[g&s.mask].class)] &^= bit
+	s.ready[row+numClasses] &^= bit
+}
+
+func (s *schedCore) isReady(g int) bool {
+	return s.ready[(g>>6&s.wmask)*readyRow+numClasses]>>(g&63)&1 != 0
+}
 
 // issueCycle issues ready instructions oldest-first up to the issue width
-// and returns how many issued. The scan re-reads each bitset word after an
-// issue, so a consumer that a 0-latency producer just made ready still
-// issues this cycle, as it would in a full window scan.
+// and returns how many issued. Once an instruction finds no free pipe, the
+// scan skips the rest of its issue class. It re-reads the bitset words
+// after each attempt, so a consumer that a 0-latency producer just made
+// ready still issues this cycle, as it would in a full window scan.
 func (s *schedCore) issueCycle() int {
 	width := s.p.IssueWidth
 	issued := 0
+	full := 0 // bit c: issue class c has no free pipe left this cycle
 	for w := s.head >> 6; w <= (s.tail-1)>>6; w++ {
-		word := s.ready[w&s.wmask]
+		row := s.ready[(w&s.wmask)*readyRow:][:readyRow]
+		word := readyIn(row, full)
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
-			if s.tryIssue(w<<6 | b) {
-				if issued++; issued == width {
-					return issued
-				}
+			g := w<<6 | b
+			if !s.tryIssue(g) {
+				full |= 1 << s.instrs[g&s.mask].class
+			} else if issued++; issued == width {
+				return issued
 			}
-			word = s.ready[w&s.wmask] &^ (1<<(b+1) - 1)
+			word = readyIn(row, full) &^ (1<<(b+1) - 1)
 		}
 	}
 	return issued
+}
+
+// readyIn is row's ready bits less those of the issue classes in full.
+func readyIn(row []uint64, full int) uint64 {
+	word := row[numClasses]
+	for ; full != 0; full &= full - 1 {
+		word &^= row[bits.TrailingZeros(uint(full))]
+	}
+	return word
 }
 
 // tryIssue issues ready instruction g if a pipe of its kind is free this
@@ -357,7 +429,7 @@ func (s *schedCore) tryIssue(g int) bool {
 	if slot < 0 {
 		return false
 	}
-	s.ready[g>>6&s.wmask] &^= 1 << (g & 63)
+	s.clearReady(g)
 	i := g % s.n
 	c := s.costs[op]
 	s.slots[slot] = s.cycle + c.Occupancy
@@ -365,9 +437,8 @@ func (s *schedCore) tryIssue(g int) bool {
 	in.done = int32(done)
 	s.last = max(s.last, done)
 	s.issued++
-	if s.events != nil {
-		s.events[g] = IssueEvent{Iter: g / s.n, Index: i, Op: op, Issue: s.cycle, Done: done}
-		s.util.busy(kind, c.Occupancy)
+	if k := g - s.keep; k >= 0 && k < len(s.events) {
+		s.events[k] = IssueEvent{Iter: g / s.n, Index: i, Op: op, Issue: s.cycle, Done: done}
 	}
 	base := g - i
 	for _, off := range s.cons[s.start[i]:s.start[i+1]] {
@@ -445,9 +516,11 @@ func (s *schedCore) popWait() int {
 }
 
 // observe runs at the first loop top, after retirement, at which head has
-// entered a new iteration. It takes the run's state relative to that
-// iteration's first instruction b and the current cycle, and on a repeat
-// of the saved state jumps ahead by whole periods. The state is
+// reached next. While no repeat is known, next is the first instruction of
+// the iteration after head's, and observe takes the run's state relative
+// to the first instruction b of head's iteration and the current cycle,
+// and on a repeat of the saved state jumps ahead by whole periods. The
+// state is
 //   - head and tail, less b;
 //   - last and each pipe's free time, less the cycle and clamped at 0
 //     (every time at or before the cycle behaves the same);
@@ -461,10 +534,19 @@ func (s *schedCore) popWait() int {
 // producer, each at its readyAt, which is never before the cycle at a
 // loop top. Every due entry is popped in the same step, so the heap's
 // layout does not matter either.
+//
+// Once a repeat is known, next is the end of the kept instructions if
+// head has not passed them yet (skipAhead stops short of them), and
+// observe makes the rest of the jump there.
 func (s *schedCore) observe() {
+	if s.period > 0 {
+		s.next = math.MaxInt
+		s.skipAhead()
+		return
+	}
 	k := s.head / s.n
 	b := k * s.n
-	s.nextBoundary = b + s.n
+	s.next = b + s.n
 	end := s.tail + 2*s.n
 	if end > min(s.total, s.forkAt)-s.n {
 		return // too close to the end for a jump of even one iteration
@@ -473,7 +555,10 @@ func (s *schedCore) observe() {
 	s.cur = s.appendHeader(s.cur[:0], b)
 	if s.repeats(end) {
 		s.period, s.periodCycles = (k-s.savedIter)*s.n, s.cycle-s.savedAt
-		s.seeking = false
+		s.next = math.MaxInt
+		if s.head < s.keep+len(s.events) {
+			s.next = s.keep + len(s.events)
+		}
 		s.skipAhead()
 		return
 	}
@@ -537,15 +622,20 @@ func (s *schedCore) repeats(end int) bool {
 
 // skipAhead jumps over as many whole periods as keep end — and with it
 // every boundary effect (tail reaching total, consumers past total) and
-// the fork point — in the part of the run simulated for real. The state
-// at every loop top after a repeat recurs one period later, so it may run
-// at any loop top.
+// the fork point — in the part of the run simulated for real. Until head
+// passes the kept instructions, the jump also ends before them, so each
+// of them issues in the simulation and is recorded. The state at every
+// loop top after a repeat recurs one period later, so it may run at any
+// loop top.
 func (s *schedCore) skipAhead() {
 	if s.period == 0 {
 		return
 	}
-	end := s.tail + 2*s.n
-	if m := (min(s.total, s.forkAt) - end) / s.period; m > 0 {
+	m := (min(s.total, s.forkAt) - (s.tail + 2*s.n)) / s.period
+	if s.head < s.keep+len(s.events) {
+		m = min(m, (s.keep-s.tail)/s.period)
+	}
+	if m > 0 {
 		s.jump(m*s.period, m*s.periodCycles)
 	}
 }
@@ -555,9 +645,7 @@ func (s *schedCore) skipAhead() {
 // shifted.
 func (s *schedCore) jump(di, dc int) {
 	s.cur = s.appendState(s.cur[:0], s.head)
-	for g := s.head; g < s.tail; g++ {
-		s.ready[g>>6&s.wmask] &^= 1 << (g & 63)
-	}
+	clear(s.ready) // every ready bit is in the window; restore sets them anew
 	s.restore(s.cur, s.head+di, s.cycle+dc)
 	s.skipped += di
 }
@@ -592,18 +680,22 @@ func (s *schedCore) restore(st []int32, b, cycle int) {
 	}
 }
 
-// stateBuffers returns an empty buffer for a state and a copy of saved,
-// each with room for the largest state, in one allocation.
-func (s *schedCore) stateBuffers(saved []int32) (cur, copied []int32) {
+// stateBuffers points cur and saved at s.state, each with room for the
+// largest state, with cur empty and saved holding a copy of the given
+// state.
+func (s *schedCore) stateBuffers(saved []int32) {
 	size := 3 + len(s.slots) + 3*(min(s.p.Window, s.total)+2*s.n)
-	buf := make([]int32, 2*size)
-	return buf[:0:size], append(buf[size:size], saved...)
+	s.state = resize(s.state, 2*size)
+	s.cur, s.saved = s.state[:0:size], append(s.state[size:size], saved...)
 }
 
-// fork returns a copy of the run, stopped at its fork point, that runs
-// iters iterations instead. The copy counts the shared prefix as skipped.
-func (s *schedCore) fork(iters int) schedCore {
-	t := *s
+// forkFrom makes t a copy of run s, stopped at its fork point, that runs
+// iters iterations instead and records no issue, on t's own buffers. The
+// copy counts the shared prefix as skipped.
+func (t *schedCore) forkFrom(s *schedCore, iters int) {
+	bufs := t.coreBuffers
+	*t = *s
+	t.coreBuffers = bufs
 	t.total = iters * s.n
 	t.makeRing()
 	for g := s.head; g < s.filled; g++ {
@@ -614,42 +706,140 @@ func (s *schedCore) fork(iters int) schedCore {
 			t.markReady(g)
 		}
 	}
-	t.wait = append(make([]waiter, 0, cap(s.wait)), s.wait...)
-	t.slots = slices.Clone(s.slots)
-	t.cur, t.saved = t.stateBuffers(s.saved)
+	t.wait = append(resize(t.wait, cap(s.wait))[:0], s.wait...)
+	t.slots = append(t.slots[:0], s.slots...)
+	t.events = t.events[:0]
+	t.stateBuffers(s.saved)
 	t.fill(t.reach()) // s filled only up to its own total
 	t.forkAt = math.MaxInt
+	if t.period > 0 {
+		t.next = math.MaxInt // the caller jumps
+	}
 	t.skipped = s.head
-	return t
 }
+
+// cpiIters is the length of CyclesPerIter's shorter run; the longer one
+// runs twice as many iterations.
+const cpiIters = 64
 
 // CyclesPerIter returns the steady-state cycles per loop iteration,
 // measured by differencing two long runs to cancel fill/drain effects.
 //
 //ookami:pure
 func (p *Profile) CyclesPerIter(body Body) float64 {
-	cpi, _ := p.cyclesPerIter(body)
-	return cpi
+	var sc Scheduler
+	return sc.cyclesPerIter(p, body, false)
 }
 
-// cyclesPerIter is CyclesPerIter that also returns how many iterations its
-// two runs simulated between them. The runs are identical until the
-// shorter one's window and consumers reach its end, so the longer one is
-// forked from it there.
-func (p *Profile) cyclesPerIter(body Body) (cpi float64, simulated int) {
-	const k = 64
-	if len(body) == 0 {
-		return 0, 0
+// Scheduler runs CyclesPerIter's two runs on buffers it keeps from one
+// body to the next: the rings, wait heaps, pipe slots and steady-state
+// buffers of the 64-iteration run and of the 128-iteration run forked
+// from it. The zero value is ready to use. A Scheduler must not be used
+// by two goroutines at once.
+type Scheduler struct {
+	short, long schedCore
+}
+
+// IssueEvent records one instruction's passage through the model.
+type IssueEvent struct {
+	Iter  int // iteration index
+	Index int // instruction index within the body
+	Op    Op
+	Issue int // cycle issued
+	Done  int // cycle result available
+}
+
+// Utilization summarizes a scheduled run.
+type Utilization struct {
+	Cycles       int
+	Instructions int
+	// PipeBusy counts busy pipe-cycles per pipe kind (FP, load, store, int).
+	FPBusy, LoadBusy, StoreBusy, IntBusy int
+	// IPC is instructions per cycle over the run.
+	IPC float64
+}
+
+// busy adds occupancy cycles to the pipe kind's busy count.
+func (u *Utilization) busy(kind pipeKind, occupancy int) {
+	switch kind {
+	case pipeFP:
+		u.FPBusy += occupancy
+	case pipeLoad:
+		u.LoadBusy += occupancy
+	case pipeStore:
+		u.StoreBusy += occupancy
+	default:
+		u.IntBusy += occupancy
 	}
-	short := p.newCore(body, k, nil, nil)
+}
+
+// SteadyState is what one CyclesPerIter run of a body reads off it.
+type SteadyState struct {
+	CyclesPerIter float64
+	// Util summarizes the 64-iteration run.
+	Util Utilization
+	// Critical is the body index of the instruction whose result is
+	// available last in iteration 32 of that run, the lowest index on a
+	// tie; -1 for an empty body.
+	Critical int
+}
+
+// SteadyState runs CyclesPerIter's schedule of body on p and returns its
+// rate together with the 64-iteration run's utilization and critical
+// instruction. It simulates the same runs as CyclesPerIter, except that
+// the steady-state skip does not jump over iteration 32.
+func (sc *Scheduler) SteadyState(p *Profile, body Body) SteadyState {
+	st := SteadyState{CyclesPerIter: sc.cyclesPerIter(p, body, true), Critical: -1}
+	if len(body) == 0 {
+		return st
+	}
+	st.Util = sc.short.utilization(cpiIters)
+	latest := -1
+	for _, e := range sc.short.events {
+		if e.Done > latest {
+			latest, st.Critical = e.Done, e.Index
+		}
+	}
+	return st
+}
+
+// cyclesPerIter runs the 64- and 128-iteration runs of body and returns
+// the difference of their cycles per iteration. The runs are identical
+// until the shorter one's window and consumers reach its end, so the
+// longer one is forked from it there. With keepMid the shorter run
+// records the issues of iteration 32.
+func (sc *Scheduler) cyclesPerIter(p *Profile, body Body, keepMid bool) float64 {
+	if len(body) == 0 {
+		return 0
+	}
+	short, long := &sc.short, &sc.long
+	short.reset(p, body, cpiIters)
+	if keepMid {
+		short.keep = cpiIters / 2 * short.n
+		short.events = resize(short.events, short.n)
+	}
 	short.forkAt = short.total
 	short.run()
-	long := short.fork(2 * k)
+	long.forkFrom(short, 2*cpiIters)
 	short.forkAt = math.MaxInt
 	short.run()
 	long.skipAhead()
 	long.run()
-	return float64(long.last-short.last) / k, short.simulated() + long.simulated()
+	return float64(long.last-short.last) / cpiIters
+}
+
+// utilization summarizes a finished run of iters iterations. Every
+// instruction issues once and holds its pipe for its occupancy, so the
+// busy pipe-cycles do not depend on the schedule.
+func (s *schedCore) utilization(iters int) Utilization {
+	u := Utilization{Cycles: s.last, Instructions: s.total}
+	for _, ins := range s.body {
+		u.busy(pipeTab[ins.Op], iters*s.costs[ins.Op].Occupancy)
+	}
+	if s.last > 0 {
+		u.IPC = float64(s.total) / float64(s.last)
+	}
+	return u
 }
 
 // CyclesPerElement is CyclesPerIter divided by the number of elements one

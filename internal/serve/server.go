@@ -5,8 +5,9 @@
 // queries coalesce onto one evaluation and completed answers live in a
 // capacity-bounded LRU cache. A cache miss answers from the price table
 // of the query's (toolchain, machine) pair: the first miss of a pair
-// builds it (explain.PricePair, 11 compiles and schedules), and every
-// later miss on the pair is closed-form arithmetic plus the JSON encode.
+// builds it (explain.PricePair: 11 compiles, one scheduler run each, on
+// the order of 4 ms), and every later miss on the pair is closed-form
+// arithmetic plus the JSON encode.
 // Each Server builds its own tables. The cache stores the marshaled
 // response bytes, which with the certified purity of explain.Predict and
 // of the table path gives the API its core contract: a served answer is
