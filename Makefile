@@ -75,13 +75,17 @@ fuzz-predict:
 fuzz-vmath:
 	$(GO) test ./internal/vmath -run '^$$' -fuzz=FuzzVmathMatchesRegisterRef -fuzztime=30s
 
-# Short fuzz pass over NPB CG's sparse matrix-vector product: on any
-# small CSR matrix (ragged, empty and odd-count rows) and team size, the
-# two-rows-at-a-time SpMV must give the bits of the one-row loop.
-# Minimization is capped as in fuzz-report: at the default, minimizing
-# one new input stalled the run for most of its 30 s.
+# Short fuzz passes over NPB's two bit-for-bit rewrites, one target per
+# run (`go test -fuzz` takes one): on any small CSR matrix (ragged, empty
+# and odd-count rows) and team size, CG's two-rows-at-a-time SpMV must
+# give the bits of the one-row loop; and on any five inputs, EP's
+# four-lane Box–Muller pass must give the bits of
+# math.Sqrt(-2*math.Log(t)/t). Minimization is capped as in fuzz-report:
+# at the default, minimizing one new input stalled the run for most of
+# its time.
 fuzz-npb:
-	$(GO) test ./internal/npb -run '^$$' -fuzz=FuzzMulVecMatchesRowLoop -fuzztime=30s -fuzzminimizetime=100x
+	$(GO) test ./internal/npb -run '^$$' -fuzz='^FuzzMulVecMatchesRowLoop$$' -fuzztime=15s -fuzzminimizetime=100x
+	$(GO) test ./internal/npb -run '^$$' -fuzz='^FuzzBoxMullerMatchesMathLog$$' -fuzztime=15s -fuzzminimizetime=100x
 
 # Short fuzz pass over the trace reader, which loads files from outside
 # the process in both the object and the bare-array trace_event form:

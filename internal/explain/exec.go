@@ -95,13 +95,23 @@ func MathCost(m machine.Machine, loopCycles func(toolchain.Loop) float64) map[pe
 	return cost
 }
 
-// compiledCycles prices tc's loops on m by compiling and scheduling each
-// one afresh. m must have an instruction-level profile.
+// compiledCycles prices tc's loops on m by compiling each one afresh,
+// with what CompiledLoop.CyclesPerElement returns. The schedules run on
+// one perfmodel.Scheduler's buffers, as in PricePair, so the five math
+// loops of an app request share them. m must have an instruction-level
+// profile.
 //
-//ookami:pure the returned closure compiles and schedules fresh bodies
+//ookami:pure the returned closure compiles fresh bodies and schedules them on a Scheduler that only it holds
 func compiledCycles(tc toolchain.Toolchain, m machine.Machine) func(toolchain.Loop) float64 {
 	prof, _ := perfmodel.ProfileFor(m.Name)
-	return func(l toolchain.Loop) float64 { return tc.Compile(l, m).CyclesPerElement(prof) }
+	var sc perfmodel.Scheduler
+	return func(l toolchain.Loop) float64 {
+		c := tc.Compile(l, m)
+		if !c.Vectorized {
+			return c.SerialCyclesPerElem
+		}
+		return sc.CyclesPerIter(prof, c.Body) / float64(c.ElemsPerIter)
+	}
 }
 
 // ExecFor builds the node-level execution parameters for running an

@@ -9,6 +9,7 @@ import (
 
 	"ookami/internal/machine"
 	"ookami/internal/npb"
+	"ookami/internal/perfmodel"
 	"ookami/internal/toolchain"
 )
 
@@ -274,5 +275,45 @@ func TestRooflineResultMatchesText(t *testing.T) {
 		if len(m.Points) != 6 {
 			t.Errorf("%s: %d points, want 6", m.Machine, len(m.Points))
 		}
+	}
+}
+
+// An app request on the package-level Predict compiles the five math
+// loops and schedules them all on one Scheduler's buffers: beyond the
+// compiles it allocates what one Scheduler does over the five bodies,
+// plus a handful for the math-cost map and the answer. A fresh
+// Scheduler per loop would add about one more Scheduler's worth.
+func TestAppPredictSchedulesOnOneScheduler(t *testing.T) {
+	tc, m := toolchain.Fujitsu, machine.A64FX
+	prof, _ := perfmodel.ProfileFor(m.Name)
+	var bodies []perfmodel.Body
+	for _, l := range toolchain.MathLoops {
+		c := tc.Compile(l, m)
+		if !c.Vectorized {
+			t.Fatalf("%v does not vectorize under %s: the test needs five schedules", l, tc.Name)
+		}
+		bodies = append(bodies, c.Body)
+	}
+	compile := testing.AllocsPerRun(3, func() {
+		for _, l := range toolchain.MathLoops {
+			tc.Compile(l, m)
+		}
+	})
+	oneScheduler := testing.AllocsPerRun(3, func() {
+		var sc perfmodel.Scheduler
+		for _, b := range bodies {
+			sc.CyclesPerIter(prof, b)
+		}
+	})
+	req := Request{Kernel: "CG", Toolchain: tc.Name}
+	app := testing.AllocsPerRun(3, func() {
+		if _, err := Predict(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const rest = 16
+	if app > compile+oneScheduler+rest {
+		t.Errorf("app Predict: %v allocations, want at most %v compiling + %v on one Scheduler + %d",
+			app, compile, oneScheduler, rest)
 	}
 }

@@ -57,26 +57,29 @@ type SparseMatrix struct {
 // NNZ returns the stored nonzero count.
 func (m *SparseMatrix) NNZ() int { return len(m.Values) }
 
-// MulVec computes y = A x in parallel over rows. Each thread walks its
-// rows two at a time: both rows keep their own accumulator and sum in
-// column order, so the two add chains overlap and every y[i] has the
-// bits of the one-row loop. The longer row's tail, and an odd last row,
-// run alone.
+// MulVec computes y = A x in parallel over rows, each thread taking
+// the static row block mulRows sums.
 func (m *SparseMatrix) MulVec(team *omp.Team, y, x []float64) {
-	team.ForRange(0, m.N, omp.Static, 0, func(a, b int) {
-		rp, ci, vs := m.RowPtr, m.ColIdx, m.Values
-		i := a
-		for ; i+1 < b; i += 2 {
-			lo, mid, hi := rp[i], rp[i+1], rp[i+2]
-			k := min(mid-lo, hi-mid)
-			s0, s1 := rowPairSum(ci[lo:lo+k], vs[lo:lo+k], ci[mid:mid+k], vs[mid:mid+k], x)
-			y[i] = rowSum(s0, ci[lo+k:mid], vs[lo+k:mid], x)
-			y[i+1] = rowSum(s1, ci[mid+k:hi], vs[mid+k:hi], x)
-		}
-		if i < b {
-			y[i] = rowSum(0, ci[rp[i]:rp[i+1]], vs[rp[i]:rp[i+1]], x)
-		}
-	})
+	team.ForRange(0, m.N, omp.Static, 0, func(a, b int) { m.mulRows(y, x, a, b) })
+}
+
+// mulRows computes y[i] = (A x)[i] for the rows i in [a, b), two at a
+// time: both rows keep their own accumulator and sum in column order,
+// so the two add chains overlap and every y[i] has the bits of the
+// one-row loop. The longer row's tail, and an odd last row, run alone.
+func (m *SparseMatrix) mulRows(y, x []float64, a, b int) {
+	rp, ci, vs := m.RowPtr, m.ColIdx, m.Values
+	i := a
+	for ; i+1 < b; i += 2 {
+		lo, mid, hi := rp[i], rp[i+1], rp[i+2]
+		k := min(mid-lo, hi-mid)
+		s0, s1 := rowPairSum(ci[lo:lo+k], vs[lo:lo+k], ci[mid:mid+k], vs[mid:mid+k], x)
+		y[i] = rowSum(s0, ci[lo+k:mid], vs[lo+k:mid], x)
+		y[i+1] = rowSum(s1, ci[mid+k:hi], vs[mid+k:hi], x)
+	}
+	if i < b {
+		y[i] = rowSum(0, ci[rp[i]:rp[i+1]], vs[rp[i]:rp[i+1]], x)
+	}
 }
 
 // rowPairSum sums two equal-length rows side by side, each from zero and
@@ -226,86 +229,141 @@ type CGOutput struct {
 	NNZ      int
 }
 
-// cgSolve runs the fixed 25-iteration CG inner solve of NPB (no early
-// exit), returning the residual norm. Work arrays are supplied by caller.
-func cgSolve(team *omp.Team, m *SparseMatrix, z, x, r, p, q []float64) float64 {
+// cgIters is the fixed iteration count of NPB's inner CG solve (no
+// early exit).
+const cgIters = 25
+
+// cgStride is the distance in float64s between two threads' partial
+// sums: one 64-byte cache line, so no two threads write the same line.
+const cgStride = 8
+
+// cgSolver is the state of one RunFull: the matrix, the five work
+// vectors, and what the threads of the team share inside a solve. Each
+// scalar of the solve is a sum of per-thread partials, one per static
+// row block; part[k][tid*cgStride+j] is thread tid's partial of the
+// j-th scalar published through array k. Consecutive sums use the two
+// arrays in turn, so a thread that runs ahead to the next sum cannot
+// overwrite a partial that a slower thread is still adding.
+type cgSolver struct {
+	m             *SparseMatrix
+	x, z, r, p, q []float64
+	threads       int
+	bar           *omp.Barrier
+	part          [2][]float64
+	resid, xz     float64 // thread 0's results of the last solve
+}
+
+// newCGSolver allocates the work vectors, the barrier and the partial
+// arrays of a RunFull on a team of threads.
+//
+//ookami:cold -- work-array allocation: once per RunFull call, outside the solve loop
+func newCGSolver(m *SparseMatrix, threads int) *cgSolver {
 	n := m.N
-	team.ForRange(0, n, omp.Static, 0, func(a, b int) {
-		for i := a; i < b; i++ {
-			z[i] = 0
-			r[i] = x[i]
-			p[i] = x[i]
-		}
-	})
-	rho := dot(team, r, r)
-	const cgIters = 25
-	for it := 0; it < cgIters; it++ {
-		m.MulVec(team, q, p)
-		alpha := rho / dot(team, p, q)
-		axpy(team, z, p, alpha)  // z += alpha p
-		axpy(team, r, q, -alpha) // r -= alpha q
-		rho0 := rho
-		rho = dot(team, r, r)
-		beta := rho / rho0
-		team.ForRange(0, n, omp.Static, 0, func(a, b int) {
-			for i := a; i < b; i++ {
-				p[i] = r[i] + beta*p[i]
-			}
-		})
+	return &cgSolver{
+		m: m,
+		x: make([]float64, n), z: make([]float64, n), r: make([]float64, n),
+		p: make([]float64, n), q: make([]float64, n),
+		threads: threads,
+		bar:     omp.NewBarrier(threads),
+		part:    [2][]float64{make([]float64, threads*cgStride), make([]float64, threads*cgStride)},
 	}
-	// Final residual ||x - A z||.
-	m.MulVec(team, q, z)
-	team.ForRange(0, n, omp.Static, 0, func(a, b int) {
-		for i := a; i < b; i++ {
-			r[i] = x[i] - q[i]
-		}
-	})
-	return math.Sqrt(dot(team, r, r))
 }
 
-func dot(team *omp.Team, a, b []float64) float64 {
-	return team.ReduceSum(0, len(a), func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += a[i] * b[i]
+// solve is thread tid's share of one outer iteration, run by every
+// thread of a parallel region: the 25-iteration CG solve of A z = x,
+// then the residual ||x - A z||, x.z and z.z, and finally x = z/||z||.
+// The thread owns the rows omp.StaticSlice gives it, the block that
+// ReduceSum and the Static schedule gave it when every step was a
+// region of its own. It writes only its own rows of z, r, p, q and x;
+// each SpMV reads all of p or z, so a barrier precedes it. Every thread
+// adds the partials of a scalar in thread order, as ReduceSum does, so
+// all threads hold the same bits. Three barriers per CG iteration.
+func (s *cgSolver) solve(tid int) {
+	a, b := omp.StaticSlice(0, s.m.N, tid, s.threads)
+	x := s.x[a:b]
+	z, r, p, q := s.z[a:b][:len(x)], s.r[a:b][:len(x)], s.p[a:b][:len(x)], s.q[a:b][:len(x)]
+	for i := range x {
+		z[i] = 0
+		r[i] = x[i]
+		p[i] = x[i]
+	}
+	rho := s.allSum(tid, 1, innerProduct(r, r))
+	for range cgIters {
+		s.m.mulRows(s.q, s.p, a, b)
+		alpha := rho / s.allSum(tid, 0, innerProduct(p, q))
+		for i := range z {
+			z[i] += alpha * p[i]
 		}
-		return s
-	})
+		for i := range r {
+			r[i] += -alpha * q[i]
+		}
+		rho0 := rho
+		rho = s.allSum(tid, 1, innerProduct(r, r))
+		beta := rho / rho0
+		for i := range p {
+			p[i] = r[i] + beta*p[i]
+		}
+		s.bar.Wait()
+	}
+	s.m.mulRows(s.q, s.z, a, b)
+	for i := range r {
+		r[i] = x[i] - q[i]
+	}
+	own := s.part[0][tid*cgStride:]
+	own[0], own[1], own[2] = innerProduct(r, r), innerProduct(x, z), innerProduct(z, z)
+	s.bar.Wait()
+	norm := 1 / math.Sqrt(s.total(0, 2))
+	if tid == 0 {
+		s.resid, s.xz = math.Sqrt(s.total(0, 0)), s.total(0, 1)
+	}
+	for i := range x {
+		x[i] = z[i] * norm
+	}
 }
 
-func axpy(team *omp.Team, y, x []float64, alpha float64) {
-	team.ForRange(0, len(y), omp.Static, 0, func(a, b int) {
-		for i := a; i < b; i++ {
-			y[i] += alpha * x[i]
-		}
-	})
+// allSum publishes v as thread tid's partial of one scalar through
+// array k, waits for every thread's, and returns their sum.
+func (s *cgSolver) allSum(tid, k int, v float64) float64 {
+	s.part[k][tid*cgStride] = v
+	s.bar.Wait()
+	return s.total(k, 0)
 }
 
-// RunFull executes the CG benchmark and returns its outputs.
+// total adds the partials of the j-th scalar in array k in thread
+// order, starting from zero like ReduceSum.
+func (s *cgSolver) total(k, j int) float64 {
+	sum := 0.0
+	for t := range s.threads {
+		sum += s.part[k][t*cgStride+j]
+	}
+	return sum
+}
+
+// innerProduct returns the sum of a[i]*b[i] in index order.
+func innerProduct(a, b []float64) float64 {
+	b = b[:len(a)]
+	s := 0.0
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
+// RunFull executes the CG benchmark and returns its outputs. Each
+// outer iteration is one parallel region of the team.
 func (cg *CG) RunFull(c Class, team *omp.Team) CGOutput {
 	n, nonzer, niter, shift := cgParams(c)
-	m := makea(n, nonzer, shift, 314159265)
-	x := make([]float64, n)
-	z := make([]float64, n)
-	r := make([]float64, n)
-	p := make([]float64, n)
-	q := make([]float64, n)
-	for i := range x {
-		x[i] = 1
+	s := newCGSolver(makea(n, nonzer, shift, 314159265), team.Size())
+	for i := range s.x {
+		s.x[i] = 1
 	}
-	var zeta, resid float64
+	solve := s.solve
+	var zeta float64
 	for it := 0; it < niter; it++ {
-		resid = cgSolve(team, m, z, x, r, p, q)
-		// zeta = shift + 1 / (x . z); then x = z normalized.
-		zeta = shift + 1/dot(team, x, z)
-		norm := 1 / math.Sqrt(dot(team, z, z))
-		team.ForRange(0, n, omp.Static, 0, func(a, b int) {
-			for i := a; i < b; i++ {
-				x[i] = z[i] * norm
-			}
-		})
+		team.Parallel(solve)
+		zeta = shift + 1/s.xz
 	}
-	return CGOutput{Zeta: zeta, Residual: resid, NNZ: m.NNZ()}
+	return CGOutput{Zeta: zeta, Residual: s.resid, NNZ: s.m.NNZ()}
 }
 
 // Run executes and verifies CG. The matrix is PSD-plus-(shift+1)*I by

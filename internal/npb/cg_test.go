@@ -128,6 +128,27 @@ func cgReference(c Class, tm *omp.Team) CGOutput {
 	return CGOutput{Zeta: zeta, Residual: resid, NNZ: m.NNZ()}
 }
 
+// dot is a ReduceSum region over a.b: the reduction CG's solve
+// reproduces from its per-thread partials.
+func dot(team *omp.Team, a, b []float64) float64 {
+	return team.ReduceSum(0, len(a), func(lo, hi int) float64 {
+		s := 0.0
+		for i := lo; i < hi; i++ {
+			s += a[i] * b[i]
+		}
+		return s
+	})
+}
+
+// axpy is y += alpha x as a Static ForRange region.
+func axpy(team *omp.Team, y, x []float64, alpha float64) {
+	team.ForRange(0, len(y), omp.Static, 0, func(a, b int) {
+		for i := a; i < b; i++ {
+			y[i] += alpha * x[i]
+		}
+	})
+}
+
 func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
@@ -205,4 +226,21 @@ func FuzzMulVecMatchesRowLoop(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCGRunFullAllocations holds a class S RunFull to a few allocations
+// per outer iteration at 1 and 2 threads: the matrix, the work vectors
+// and one parallel region per outer iteration, no region per vector
+// operation.
+func TestCGRunFullAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	for _, threads := range []int{1, 2} {
+		tm := team(threads)
+		allocs := testing.AllocsPerRun(1, func() { NewCG().RunFull(ClassS, tm) })
+		if allocs >= 1000 {
+			t.Errorf("%d threads: %v allocations per class S RunFull, want under 1,000", threads, allocs)
+		}
+	}
 }

@@ -199,15 +199,12 @@ func TestCGOnDiagonalMatrixFindsEigenvalue(t *testing.T) {
 		m.RowPtr[i+1] = i + 1
 	}
 	tm := team(2)
-	x := make([]float64, n)
-	z := make([]float64, n)
-	r := make([]float64, n)
-	p := make([]float64, n)
-	q := make([]float64, n)
-	for i := range x {
-		x[i] = 1
+	s := newCGSolver(m, tm.Size())
+	for i := range s.x {
+		s.x[i] = 1
 	}
-	resid := cgSolve(tm, m, z, x, r, p, q)
+	tm.Parallel(s.solve)
+	resid, z := s.resid, s.z
 	// 25 CG iterations on condition number ~32: error ~ ((sqrt(k)-1)/
 	// (sqrt(k)+1))^25 ~ 1e-4 — not exact, but clearly converging.
 	if resid > 1e-3 {

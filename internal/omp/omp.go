@@ -75,11 +75,16 @@ func (t *Team) Parallel(fn func(tid int)) {
 	rt.end()
 }
 
-// run spawns `workers` goroutines executing fn(tid) and waits for all
+// run executes fn(tid) for every tid in [0, workers) and waits for all
 // of them — the untraced spawning core shared by Parallel and the
 // worksharing schedules (which clamp workers below the team size when
-// the range is smaller than the team).
+// the range is smaller than the team). A lone worker runs on the
+// calling goroutine; otherwise each tid gets a fresh goroutine.
 func (t *Team) run(workers int, fn func(tid int)) {
+	if workers == 1 {
+		fn(0)
+		return
+	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for tid := 0; tid < workers; tid++ {
@@ -121,8 +126,7 @@ func (t *Team) ForRange(lo, hi int, sched Schedule, chunk int, fn func(a, b int)
 	case Static:
 		t.run(workers, func(tid int) {
 			w := rt.worker(tid)
-			a := lo + tid*n/workers
-			b := lo + (tid+1)*n/workers
+			a, b := StaticSlice(lo, hi, tid, workers)
 			if a < b {
 				w.grant(a, b)
 				fn(a, b)
@@ -192,6 +196,16 @@ func (t *Team) ForRange(lo, hi int, sched Schedule, chunk int, fn func(a, b int)
 	rt.end()
 }
 
+// StaticSlice returns thread tid's block [a, b) of [lo, hi) split
+// statically among workers threads: contiguous blocks in tid order whose
+// lengths differ by at most one. It is the block the Static schedule,
+// ReduceSum and ReduceMax hand thread tid, so a parallel region that
+// splits its own loops with it partitions them exactly as those do.
+func StaticSlice(lo, hi, tid, workers int) (a, b int) {
+	n := hi - lo
+	return lo + tid*n/workers, lo + (tid+1)*n/workers
+}
+
 // grabChunk claims the next [a, b) block from the shared Dynamic-
 // schedule cursor. A compare-and-swap loop clamps the cursor at hi, so
 // it never advances past the range: the old fetch-and-add version kept
@@ -235,8 +249,7 @@ func (t *Team) ReduceSum(lo, hi int, fn func(a, b int) float64) float64 {
 		return 0
 	}
 	t.Parallel(func(tid int) {
-		a := lo + tid*n/t.n
-		b := lo + (tid+1)*n/t.n
+		a, b := StaticSlice(lo, hi, tid, t.n)
 		if a < b {
 			partial[tid] = fn(a, b)
 		}
@@ -260,8 +273,7 @@ func (t *Team) ReduceMax(lo, hi int, fn func(a, b int) float64) float64 {
 	partial := make([]float64, t.n)
 	has := make([]bool, t.n)
 	t.Parallel(func(tid int) {
-		a := lo + tid*n/t.n
-		b := lo + (tid+1)*n/t.n
+		a, b := StaticSlice(lo, hi, tid, t.n)
 		if a < b {
 			partial[tid] = fn(a, b)
 			has[tid] = true
@@ -282,14 +294,28 @@ func (t *Team) ReduceMax(lo, hi int, fn func(a, b int) float64) float64 {
 }
 
 // Barrier is a reusable synchronization barrier for n participants.
+// Arrivals are counted atomically. A waiter first polls the phase, and
+// only when the phase has not moved within barrierSpins polls does it
+// park on the condition variable, so a barrier whose participants
+// arrive close together costs no OS wake-up.
 type Barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
 	n     int
-	count int
-	phase int
+	count atomic.Int64 // arrivals in the current phase
+	phase atomic.Int64 // completed phases
+	mu    sync.Mutex   // guards parking on cond
+	cond  *sync.Cond
 	id    int64 // instance id keying trace regions
 }
+
+// barrierSpins bounds how many times a waiter polls the phase before it
+// parks: about 0.1 ms on a 2-vCPU Xeon, longer than the gap between two
+// barriers of NPB CG's class S solve. A waiter yields the processor
+// after every barrierBurst polls, so it never keeps the last
+// participant from running.
+const (
+	barrierSpins = 1 << 14
+	barrierBurst = 1 << 6
+)
 
 var barrierSeq int64
 
@@ -312,29 +338,49 @@ func (b *Barrier) Wait() {
 	if traced {
 		t0 = trace.Now()
 	}
-	b.mu.Lock()
-	phase := b.phase
-	arrival := b.count
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.phase++
+	// The phase is read before arriving: once the last participant
+	// arrives it may advance at any moment.
+	phase := b.phase.Load()
+	arrival := b.count.Add(1) - 1
+	if arrival == int64(b.n)-1 {
+		// No participant can arrive for the next phase before the
+		// phase advances, so resetting the count first is safe.
+		b.count.Store(0)
+		b.mu.Lock()
+		b.phase.Add(1)
 		b.cond.Broadcast()
+		b.mu.Unlock()
 	} else {
-		for phase == b.phase {
-			b.cond.Wait()
-		}
+		b.await(phase)
 	}
-	b.mu.Unlock()
 	if traced {
 		trace.Emit(trace.Event{
 			TS:     t0,
 			Dur:    trace.Now() - t0,
 			Ph:     trace.PhaseSpan,
-			TID:    arrival,
+			TID:    int(arrival),
 			Cat:    trace.CatOMP,
 			Name:   trace.NameBarrierWait,
-			Region: "barrier" + trace.Itoa(b.id) + "#" + trace.Itoa(int64(phase)),
+			Region: "barrier" + trace.Itoa(b.id) + "#" + trace.Itoa(phase),
 		})
 	}
+}
+
+// await returns once the barrier has left phase: it polls the phase up
+// to barrierSpins times, then parks until the last arrival broadcasts.
+// The phase advances under mu, so a parked waiter cannot miss it.
+func (b *Barrier) await(phase int64) {
+	for i := 1; i <= barrierSpins; i++ {
+		if b.phase.Load() != phase {
+			return
+		}
+		if i%barrierBurst == 0 {
+			runtime.Gosched()
+		}
+	}
+	b.mu.Lock()
+	for b.phase.Load() == phase {
+		b.cond.Wait()
+	}
+	b.mu.Unlock()
 }

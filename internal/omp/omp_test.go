@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ookami/internal/machine"
 	"ookami/internal/testutil"
@@ -192,6 +193,64 @@ func TestBarrierPhases(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestBarrierReleasesParkedWaiters has one participant per phase
+// arrive long after the spin budget is spent, so the others park on
+// the condition variable; every participant must still be released,
+// and none before the late one arrives.
+func TestBarrierReleasesParkedWaiters(t *testing.T) {
+	testutil.CheckGoroutineLeak(t)
+	const n, phases = 3, 3
+	b := NewBarrier(n)
+	var arrived atomic.Int32
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for id := 0; id < n; id++ {
+		go func() {
+			defer wg.Done()
+			for phase := 0; phase < phases; phase++ {
+				if phase == id {
+					time.Sleep(20 * time.Millisecond)
+				}
+				arrived.Add(1)
+				b.Wait()
+				if got := arrived.Load(); got < int32(n*(phase+1)) {
+					t.Errorf("phase %d: released after %d arrivals, want %d", phase, got, n*(phase+1))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestBarrierManyPhases passes 4 goroutines through 10,000 phases. After
+// phase p every participant must see all 4(p+1) arrivals of phases 0..p,
+// and at most the 3 other participants' arrivals at phase p+1.
+func TestBarrierManyPhases(t *testing.T) {
+	testutil.CheckGoroutineLeak(t)
+	const n, phases = 4, 10000
+	b := NewBarrier(n)
+	var arrived atomic.Int64
+	var bad atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for range n {
+		go func() {
+			defer wg.Done()
+			for p := int64(0); p < phases; p++ {
+				arrived.Add(1)
+				b.Wait()
+				if got := arrived.Load(); got < n*(p+1) || got > n*(p+1)+n-1 {
+					bad.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if bad.Load() != 0 {
+		t.Fatalf("%d participant-phases saw the wrong arrival count", bad.Load())
+	}
 }
 
 func TestPageTrackerFirstTouchDistribution(t *testing.T) {

@@ -728,7 +728,7 @@ const cpiIters = 64
 //ookami:pure
 func (p *Profile) CyclesPerIter(body Body) float64 {
 	var sc Scheduler
-	return sc.cyclesPerIter(p, body, false)
+	return sc.CyclesPerIter(p, body)
 }
 
 // Scheduler runs CyclesPerIter's two runs on buffers it keeps from one
@@ -782,6 +782,12 @@ type SteadyState struct {
 	// available last in iteration 32 of that run, the lowest index on a
 	// tie; -1 for an empty body.
 	Critical int
+}
+
+// CyclesPerIter is Profile.CyclesPerIter on sc's buffers: the same
+// runs and the same result.
+func (sc *Scheduler) CyclesPerIter(p *Profile, body Body) float64 {
+	return sc.cyclesPerIter(p, body, false)
 }
 
 // SteadyState runs CyclesPerIter's schedule of body on p and returns its
