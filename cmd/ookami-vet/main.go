@@ -2,13 +2,13 @@
 // pass over one loaded module. The gates are:
 //
 //   - the analyzers: the repro-specific checks (determinism of
-//     golden-producing packages, float equality, synchronization hygiene
-//     of the simulated runtimes, benchmark harness hygiene, dropped errors
-//     in the CLIs) that `go vet` has no opinion on, the hot-path
-//     performance lints for the kernel packages, the interprocedural
-//     concurrency analyzers from internal/analysis/conc and the purity
-//     analyzers from internal/analysis/purity;
-//   - compilerdiag: builds the kernel packages with
+//     golden-producing packages, float equality, benchmark harness
+//     hygiene, dropped errors in the CLIs) that `go vet` has no opinion
+//     on, the hot-path lints for the kernel packages, the
+//     interprocedural concurrency analyzers from internal/analysis/conc
+//     and the purity analyzers from internal/analysis/purity;
+//   - compilerdiag: builds the kernel packages and the packages holding
+//     //ookami:hot functions with
 //     `-gcflags='-m -d=ssa/check_bce/debug=1'` and diffs the escape and
 //     bounds-check diagnostics landing in hot functions against the
 //     checked-in baseline;

@@ -54,10 +54,8 @@ func All() []Analyzer {
 	return []Analyzer{
 		Determinism{},
 		FloatEq{},
-		SyncHygiene{},
 		BenchHygiene{},
 		ErrcheckLite{},
-		HotAlloc{},
 		HotAppend{},
 		HotDefer{},
 		HotIface{},

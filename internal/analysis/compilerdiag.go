@@ -9,6 +9,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,10 +20,12 @@ import (
 // (vectorization reports, assembly). The Go analogue of those reports
 // is `-gcflags='-m -d=ssa/check_bce/debug=1'`: escape-analysis
 // decisions and the bounds checks left after BCE. This file runs the
-// real compiler over the kernel packages, keeps the diagnostics landing
-// in hot functions, and diffs them against a checked-in baseline so a
-// refactor that silently adds a heap allocation or a bounds check to a
-// kernel loop fails `make check` instead of shipping.
+// real compiler over the packages that hold hot functions, keeps the
+// diagnostics landing in hot functions, and diffs them against a
+// checked-in baseline so a refactor that silently adds a heap
+// allocation or a bounds check to a hot loop fails `make check` instead
+// of shipping. It is the one allocation gate for hot code: it judges
+// what the compiler emitted, not what the source looks like.
 
 // CompilerFinding is one escape or bounds-check diagnostic attributed
 // to a hot function.
@@ -52,19 +55,20 @@ type BaselineEntry struct {
 }
 
 // CompilerBaseline is the checked-in expectation: the accepted set of
-// compiler diagnostics for the kernel packages under one Go version.
+// compiler diagnostics for the scoped packages under one Go version.
 type CompilerBaseline struct {
 	GoVersion string          `json:"go_version"`
 	Packages  []string        `json:"packages"`
 	Entries   []BaselineEntry `json:"entries"`
 }
 
-// KernelPackagePatterns returns the ./-prefixed build patterns for the
-// kernel packages, the default scope of the firewall.
-func KernelPackagePatterns() []string {
-	out := make([]string, len(KernelPackages))
-	for i, p := range KernelPackages {
-		out[i] = "./" + p
+// CompilerDiagPatterns returns the ./-prefixed build patterns of the
+// firewall's default scope: the kernel packages, then the packages
+// holding //ookami:hot functions.
+func CompilerDiagPatterns() []string {
+	var out []string
+	for _, p := range slices.Concat(KernelPackages, MarkedHotPackages) {
+		out = append(out, "./"+p)
 	}
 	return out
 }
@@ -98,7 +102,7 @@ func classifyDiag(msg string) string {
 // per inlined copy).
 func RunCompilerDiag(moduleRoot string, patterns []string) ([]CompilerFinding, error) {
 	if len(patterns) == 0 {
-		patterns = KernelPackagePatterns()
+		patterns = CompilerDiagPatterns()
 	}
 	cmd := exec.Command("go", append([]string{"build", gcDiagFlags}, patterns...)...)
 	cmd.Dir = moduleRoot
@@ -216,7 +220,7 @@ func findingKeys(findings []CompilerFinding) []TallyKey {
 // version and package scope, with entries in a stable order.
 func BuildBaseline(goVersion string, patterns []string, findings []CompilerFinding) CompilerBaseline {
 	if len(patterns) == 0 {
-		patterns = KernelPackagePatterns()
+		patterns = CompilerDiagPatterns()
 	}
 	base := CompilerBaseline{GoVersion: goVersion, Packages: patterns}
 	keys, counts := Tally(findingKeys(findings))

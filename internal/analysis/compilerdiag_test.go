@@ -1,8 +1,12 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -201,25 +205,13 @@ func TestDiffBaselineCountSemantics(t *testing.T) {
 }
 
 // TestRepoBaselineIsCurrent guards the checked-in baseline itself: the
-// real kernel packages must diff clean against it, so a PR that
+// real packages it scopes must diff clean against it, so a PR that
 // regresses codegen cannot pass `make check` by skipping -update-baseline.
 func TestRepoBaselineIsCurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the kernel packages with diagnostic flags")
 	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := FindModuleRoot(cwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	basePath := filepath.Join(root, "internal", "analysis", "baseline", "compilerdiag.json")
-	base, err := LoadJSON[CompilerBaseline](basePath)
-	if err != nil {
-		t.Fatalf("checked-in baseline missing: %v", err)
-	}
+	root, base := repoCompilerBaseline(t)
 	findings, err := RunCompilerDiag(root, base.Packages)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +225,78 @@ func TestRepoBaselineIsCurrent(t *testing.T) {
 	}
 	regressions, _ := DiffBaseline(base, findings)
 	if len(regressions) != 0 {
-		t.Errorf("kernel packages regressed against the checked-in baseline:\n%s",
+		t.Errorf("hot packages regressed against the checked-in baseline:\n%s",
 			strings.Join(regressions, "\n"))
+	}
+}
+
+// repoCompilerBaseline returns the repository root and its checked-in
+// compilerdiag baseline.
+func repoCompilerBaseline(t *testing.T) (string, CompilerBaseline) {
+	t.Helper()
+	cwd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := FindModuleRoot(cwd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := LoadJSON[CompilerBaseline](filepath.Join(root, "internal", "analysis", "baseline", "compilerdiag.json"))
+	if err != nil {
+		t.Fatalf("checked-in baseline missing: %v", err)
+	}
+	return root, base
+}
+
+// TestCompilerDiagCoversEveryHotPackage holds the firewall's scope to
+// the hot markers: a package with an //ookami:hot function in a non-test
+// file must be in the checked-in baseline's packages and in the default
+// scope, since compilerdiag is the only gate on a hot function's
+// allocations.
+func TestCompilerDiagCoversEveryHotPackage(t *testing.T) {
+	root, base := repoCompilerBaseline(t)
+	dirs, err := resolvePatterns(root, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var hot []string
+	for _, dir := range dirs {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.ContainsFunc(f.Decls, func(d ast.Decl) bool {
+				fd, ok := d.(*ast.FuncDecl)
+				return ok && funcMarker(fd.Doc) == "hot"
+			}) {
+				rel, err := filepath.Rel(root, dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hot = append(hot, "./"+filepath.ToSlash(rel))
+				break
+			}
+		}
+	}
+	if len(hot) == 0 {
+		t.Fatal("found no //ookami:hot function in the module")
+	}
+	for _, pattern := range hot {
+		if !slices.Contains(base.Packages, pattern) {
+			t.Errorf("%s holds //ookami:hot functions but is not in compilerdiag.json's packages", pattern)
+		}
+		if !slices.Contains(CompilerDiagPatterns(), pattern) {
+			t.Errorf("%s holds //ookami:hot functions but is not in the default compilerdiag scope; add it to MarkedHotPackages", pattern)
+		}
 	}
 }

@@ -2,11 +2,11 @@ package conc
 
 // The concurrency-surface firewall. Mirroring the compilerdiag
 // firewall's shape, the concsurface gate of `ookami-vet` records every
-// goroutine spawn, lock call and channel make in the concurrent runtime
-// packages and diffs the set against a committed baseline. The ROADMAP's next
-// steps (worker-pool emulator fast path, ookami-serve, parallel tune
-// sweeps) all grow this surface; the firewall makes each new site an
-// explicit, reviewed decision — CI fails until the author reruns with
+// goroutine spawn, lock call and channel make in the packages that run
+// concurrently today: the omp and mpi runtimes, the memo engine and its
+// parexec.Map fan-out, ookami-serve, the bench runner and the tracer. It
+// diffs the set against a committed baseline, so each new site is an
+// explicit, reviewed decision: CI fails until the author reruns with
 // -update-baseline and commits the grown baseline.
 
 import (

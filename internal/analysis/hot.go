@@ -22,6 +22,14 @@ var KernelPackages = []string{
 	"internal/vmath",
 }
 
+// MarkedHotPackages are the packages outside KernelPackages that hold
+// //ookami:hot functions. Listing one here makes none of its functions
+// hot; it only adds the package to the compilerdiag firewall's default
+// scope, so every hot function has an allocation gate.
+var MarkedHotPackages = []string{
+	"internal/trace",
+}
+
 // IsKernelPackage reports whether an import path names one of the
 // kernel packages (external test packages included).
 func IsKernelPackage(path string) bool {

@@ -12,8 +12,8 @@ import (
 // The hot-path analyzer suite. The paper's codegen studies ("A64FX —
 // Your Compiler You Must Decide!", the ECM SpMV analysis) show the same
 // loop source landing anywhere on the roofline depending on what the
-// compiler emits; the Go analogue is a kernel loop silently growing a
-// heap allocation, an interface dispatch or a defer. These analyzers
+// compiler emits; the Go analogue is a kernel loop silently gaining a
+// reallocating append, an interface dispatch or a defer. These analyzers
 // run over hot functions — every function of a kernel package
 // (internal/loops, npb, lulesh, hpcc, vmath, stencil, blas, fft)
 // unless marked //ookami:cold, plus any function marked //ookami:hot
@@ -23,12 +23,11 @@ import (
 
 // forEachCycleNode walks every hot declaration of p, building CFGs for
 // the declaration body and every nested function literal, and calls fn
-// for each shallow node lying in a block on a cycle — i.e. every node
-// that can execute more than once per call. parent is the node's
-// immediate parent within the walk (nil at block level); du is the
-// declaration-wide def-use index. Function literal bodies are separate
-// CFG units; the literal itself is reported at its creation site.
-func forEachCycleNode(p *Package, fn func(fd *ast.FuncDecl, du *cfg.DefUse, n, parent ast.Node)) {
+// for each node lying in a block on a cycle — i.e. every node that can
+// execute more than once per call. du is the declaration-wide def-use
+// index. Function literal bodies are separate CFG units; the literal
+// itself is visited at its creation site.
+func forEachCycleNode(p *Package, fn func(fd *ast.FuncDecl, du *cfg.DefUse, n ast.Node)) {
 	for _, fd := range hotFuncDecls(p) {
 		du := cfg.Collect(p.Info, fd)
 		var unit func(body *ast.BlockStmt)
@@ -39,16 +38,16 @@ func forEachCycleNode(p *Package, fn func(fd *ast.FuncDecl, du *cfg.DefUse, n, p
 			for _, b := range g.Blocks {
 				inCycle := cyc[b]
 				for _, root := range b.Nodes {
-					walkShallow(root, func(n, parent ast.Node) bool {
-						if lit, ok := n.(*ast.FuncLit); ok {
-							nested = append(nested, lit)
-							if inCycle {
-								fn(fd, du, lit, parent)
-							}
-							return false
+					ast.Inspect(root, func(n ast.Node) bool {
+						if n == nil {
+							return true
 						}
 						if inCycle {
-							fn(fd, du, n, parent)
+							fn(fd, du, n)
+						}
+						if lit, ok := n.(*ast.FuncLit); ok {
+							nested = append(nested, lit)
+							return false
 						}
 						return true
 					})
@@ -62,105 +61,10 @@ func forEachCycleNode(p *Package, fn func(fd *ast.FuncDecl, du *cfg.DefUse, n, p
 	}
 }
 
-// walkShallow is ast.Inspect with parent tracking. Returning false from
-// fn skips the node's children.
-func walkShallow(root ast.Node, fn func(n, parent ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		var parent ast.Node
-		if len(stack) > 0 {
-			parent = stack[len(stack)-1]
-		}
-		if !fn(n, parent) {
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
-}
-
 // isConversion reports whether the call expression is a type conversion.
 func isConversion(p *Package, call *ast.CallExpr) bool {
 	tv, ok := p.Info.Types[call.Fun]
 	return ok && tv.IsType()
-}
-
-// ---------------------------------------------------------------------
-// hotalloc: heap allocation inside hot loops.
-
-// HotAlloc flags allocation sites — make, new, slice/map composite
-// literals, address-taken composite literals and escaping closure
-// creation — inside loops of hot functions. An allocation per kernel
-// iteration turns an arithmetic loop into an allocator benchmark and
-// defeats vectorization.
-type HotAlloc struct{}
-
-// Name implements Analyzer.
-func (HotAlloc) Name() string { return "hotalloc" }
-
-// Doc implements Analyzer.
-func (HotAlloc) Doc() string {
-	return "flags make/new/composite-literal/closure allocations inside hot kernel loops"
-}
-
-// Run implements Analyzer.
-func (HotAlloc) Run(p *Package) []Diagnostic {
-	var diags []Diagnostic
-	forEachCycleNode(p, func(fd *ast.FuncDecl, _ *cfg.DefUse, n, parent ast.Node) {
-		name := FuncDisplayName(fd)
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			switch {
-			case IsBuiltin(p, n, "make"):
-				diags = append(diags, p.Diag(HotAlloc{}.Name(), n,
-					"make inside a loop of hot function %s allocates every iteration; hoist it out and reuse the buffer", name))
-			case IsBuiltin(p, n, "new"):
-				diags = append(diags, p.Diag(HotAlloc{}.Name(), n,
-					"new inside a loop of hot function %s allocates every iteration; hoist it out", name))
-			}
-		case *ast.CompositeLit:
-			t := p.Info.TypeOf(n)
-			if t == nil {
-				return
-			}
-			switch t.Underlying().(type) {
-			case *types.Slice, *types.Map:
-				diags = append(diags, p.Diag(HotAlloc{}.Name(), n,
-					"%s literal inside a loop of hot function %s allocates its backing store every iteration; hoist it out",
-					litKind(t), name))
-			}
-			if u, ok := parent.(*ast.UnaryExpr); ok && u.Op == token.AND {
-				if _, isStructish := t.Underlying().(*types.Struct); isStructish {
-					diags = append(diags, p.Diag(HotAlloc{}.Name(), u,
-						"&composite literal inside a loop of hot function %s may escape and allocate every iteration", name))
-				}
-			}
-		case *ast.FuncLit:
-			// Closures passed straight into a call (the omp parallel-for
-			// idiom) or invoked in place are amortized or inlined; flag
-			// only closures that are stored, which escape per iteration.
-			if _, ok := parent.(*ast.CallExpr); ok {
-				return
-			}
-			diags = append(diags, p.Diag(HotAlloc{}.Name(), n,
-				"closure created and stored inside a loop of hot function %s escapes and allocates every iteration", name))
-		}
-	})
-	return diags
-}
-
-func litKind(t types.Type) string {
-	switch t.Underlying().(type) {
-	case *types.Slice:
-		return "slice"
-	case *types.Map:
-		return "map"
-	}
-	return "composite"
 }
 
 // ---------------------------------------------------------------------
@@ -184,7 +88,7 @@ func (HotAppend) Doc() string {
 // Run implements Analyzer.
 func (HotAppend) Run(p *Package) []Diagnostic {
 	var diags []Diagnostic
-	forEachCycleNode(p, func(fd *ast.FuncDecl, du *cfg.DefUse, n, _ ast.Node) {
+	forEachCycleNode(p, func(fd *ast.FuncDecl, du *cfg.DefUse, n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || !IsBuiltin(p, call, "append") || len(call.Args) == 0 {
 			return
@@ -287,7 +191,7 @@ func (HotDefer) Doc() string {
 // Run implements Analyzer.
 func (HotDefer) Run(p *Package) []Diagnostic {
 	var diags []Diagnostic
-	forEachCycleNode(p, func(fd *ast.FuncDecl, _ *cfg.DefUse, n, _ ast.Node) {
+	forEachCycleNode(p, func(fd *ast.FuncDecl, _ *cfg.DefUse, n ast.Node) {
 		if d, ok := n.(*ast.DeferStmt); ok {
 			diags = append(diags, p.Diag(HotDefer{}.Name(), d,
 				"defer inside a loop of hot function %s accumulates a record per iteration and runs only at return; restructure into a helper function",
@@ -298,15 +202,15 @@ func (HotDefer) Run(p *Package) []Diagnostic {
 }
 
 // ---------------------------------------------------------------------
-// hotiface: interface dispatch and boxing inside hot loops.
+// hotiface: dynamic dispatch inside hot loops.
 
 // HotIface flags dynamic dispatch in hot loops: calls through interface
-// methods, calls through function values (except provably
-// devirtualizable local closures), and implicit boxing of concrete
-// values into interface parameters or variables. Each is an
-// optimization barrier — the Go compiler cannot inline or vectorize
-// through a dynamic call, the A64FX analogue of the paper's
-// unvectorized gather loops.
+// methods and calls through function values (except provably
+// devirtualizable local closures). Each is an optimization barrier —
+// the Go compiler cannot inline or vectorize through a dynamic call,
+// the A64FX analogue of the paper's unvectorized gather loops. Boxing
+// is left to the compilerdiag firewall, which sees whether the boxed
+// value actually escapes.
 type HotIface struct{}
 
 // Name implements Analyzer.
@@ -314,116 +218,48 @@ func (HotIface) Name() string { return "hotiface" }
 
 // Doc implements Analyzer.
 func (HotIface) Doc() string {
-	return "flags interface dispatch, indirect calls and boxing inside hot kernel loops"
+	return "flags interface dispatch and indirect calls inside hot kernel loops"
 }
 
 // Run implements Analyzer.
 func (HotIface) Run(p *Package) []Diagnostic {
 	var diags []Diagnostic
-	forEachCycleNode(p, func(fd *ast.FuncDecl, du *cfg.DefUse, n, _ ast.Node) {
-		name := FuncDisplayName(fd)
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if isConversion(p, n) {
+	forEachCycleNode(p, func(fd *ast.FuncDecl, du *cfg.DefUse, n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || isConversion(p, call) {
+			return
+		}
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+			if _, ok := p.Info.Uses[id].(*types.Builtin); ok {
 				return
 			}
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if _, ok := p.Info.Uses[id].(*types.Builtin); ok {
-					return
-				}
+		}
+		if callee := CalleeFunc(p, call); callee != nil {
+			if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
+				diags = append(diags, p.Diag(HotIface{}.Name(), call,
+					"interface method call %s in a loop of hot function %s dispatches dynamically; use the concrete type",
+					callee.Name(), FuncDisplayName(fd)))
 			}
-			callee := CalleeFunc(p, n)
-			if callee != nil {
-				if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-					diags = append(diags, p.Diag(HotIface{}.Name(), n,
-						"interface method call %s in a loop of hot function %s dispatches dynamically; use the concrete type",
-						callee.Name(), name))
-				}
-				diags = append(diags, boxedArgs(p, n, name)...)
-				return
-			}
-			if _, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
-				return // immediate invocation: static
-			}
-			if _, ok := p.Info.TypeOf(n.Fun).(*types.Signature); !ok {
-				return
-			}
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if obj := p.Info.Uses[id]; obj != nil {
-					if _, sole := du.SoleFuncLit(obj); sole {
-						return // devirtualizable local closure
-					}
-				}
-			}
-			diags = append(diags, p.Diag(HotIface{}.Name(), n,
-				"indirect call through a function value in a loop of hot function %s blocks inlining; take the concrete function or hoist the dispatch",
-				name))
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				if i >= len(n.Rhs) || len(n.Lhs) != len(n.Rhs) {
-					break
-				}
-				lt := p.Info.TypeOf(lhs)
-				rt := p.Info.TypeOf(n.Rhs[i])
-				if boxes(lt, rt) {
-					diags = append(diags, p.Diag(HotIface{}.Name(), n.Rhs[i],
-						"assignment boxes a concrete %s into interface %s in a loop of hot function %s; keep the concrete type in the loop",
-						rt, lt, name))
+			return
+		}
+		if _, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+			return // immediate invocation: static
+		}
+		if _, ok := p.Info.TypeOf(call.Fun).(*types.Signature); !ok {
+			return
+		}
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+			if obj := p.Info.Uses[id]; obj != nil {
+				if _, sole := du.SoleFuncLit(obj); sole {
+					return // devirtualizable local closure
 				}
 			}
 		}
+		diags = append(diags, p.Diag(HotIface{}.Name(), call,
+			"indirect call through a function value in a loop of hot function %s blocks inlining; take the concrete function or hoist the dispatch",
+			FuncDisplayName(fd)))
 	})
 	return diags
-}
-
-// boxedArgs reports arguments implicitly converted to interface
-// parameters (boxed) in a direct call.
-func boxedArgs(p *Package, call *ast.CallExpr, fnName string) []Diagnostic {
-	sig, ok := p.Info.TypeOf(call.Fun).(*types.Signature)
-	if !ok || sig.Params() == nil {
-		return nil
-	}
-	boxed := 0
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case i < sig.Params().Len()-1 || !sig.Variadic():
-			if i >= sig.Params().Len() {
-				continue
-			}
-			pt = sig.Params().At(i).Type()
-		default:
-			last := sig.Params().At(sig.Params().Len() - 1).Type()
-			sl, ok := last.(*types.Slice)
-			if !ok {
-				continue
-			}
-			pt = sl.Elem()
-		}
-		if boxes(pt, p.Info.TypeOf(arg)) {
-			boxed++
-		}
-	}
-	if boxed == 0 {
-		return nil
-	}
-	return []Diagnostic{p.Diag(HotIface{}.Name(), call,
-		"call boxes %d argument(s) into interface parameters in a loop of hot function %s; each boxing may allocate", boxed, fnName)}
-}
-
-// boxes reports whether storing a value of type rt into a location of
-// type lt converts a concrete value to an interface.
-func boxes(lt, rt types.Type) bool {
-	if lt == nil || rt == nil {
-		return false
-	}
-	if !types.IsInterface(lt.Underlying()) || types.IsInterface(rt.Underlying()) {
-		return false
-	}
-	if b, ok := rt.(*types.Basic); ok && b.Kind() == types.UntypedNil {
-		return false
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------

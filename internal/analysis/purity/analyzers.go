@@ -33,13 +33,14 @@ func (Purity) Run(p *analysis.Package) []analysis.Diagnostic {
 	return diags
 }
 
-// GlobalMut flags mutable package-level state written by hot functions
-// — the direct blocker for running them on a worker pool.
+// GlobalMut flags mutable package-level state written by hot functions.
+// Hot kernels run on several goroutines at once inside omp.Team
+// regions, so each such write is a race between the team's threads.
 type GlobalMut struct{}
 
 func (GlobalMut) Name() string { return "globalmut" }
 func (GlobalMut) Doc() string {
-	return "hot function (transitively) writes package-level state, blocking worker-pool fan-out"
+	return "hot function (transitively) writes package-level state, racing across omp.Team threads"
 }
 
 func (GlobalMut) Run(p *analysis.Package) []analysis.Diagnostic {

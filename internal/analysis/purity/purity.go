@@ -24,7 +24,8 @@
 //     goroutine spawn). Writes through caller-owned parameters are NOT
 //     impure — a worker that owns its arguments may fill them.
 //   - globalmut: mutable package-level state written (transitively) by
-//     a hot function — the direct blocker for worker-pool fan-out.
+//     a hot function — a race between the threads of the omp.Team
+//     regions hot kernels run in.
 //   - hiddeninput: a certified (//ookami:pure) entry point whose result
 //     depends on env vars, the wall clock, or map-iteration order — the
 //     memoization/cache-key hazard.

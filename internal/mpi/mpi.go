@@ -334,7 +334,6 @@ func newBarrier(n int, timeout time.Duration) *barrier {
 		n:       n,
 		id:      atomic.AddInt64(&barrierSeq, 1),
 		arrived: make([]bool, n),
-		//ookami:nolint synchygiene -- close-only broadcast channel, never sent on
 		release: make(chan struct{}),
 		timeout: timeout,
 	}
@@ -363,7 +362,6 @@ func (b *barrier) wait(rank int) {
 		for i := range b.arrived {
 			b.arrived[i] = false
 		}
-		//ookami:nolint synchygiene -- close-only broadcast channel, never sent on
 		b.release = make(chan struct{})
 		close(release)
 		b.mu.Unlock()
