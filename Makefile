@@ -28,12 +28,15 @@ baselines:
 # The full gate: what a PR must keep green. One ookami-vet run covers
 # the analyzers and the compilerdiag, concsurface and parsafe firewalls.
 # perfbench is a module of its own that `./...` does not reach; vetting
-# it compiles it against this module's internal API.
+# it compiles it against this module's internal API. The arm64 build
+# compiles the Go fallbacks of the amd64 assembly kernels, which no
+# amd64 build reaches.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l: files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) run ./cmd/ookami-vet ./...
 
@@ -79,8 +82,8 @@ fuzz-vmath:
 # run (`go test -fuzz` takes one): on any small CSR matrix (ragged, empty
 # and odd-count rows) and team size, CG's two-rows-at-a-time SpMV must
 # give the bits of the one-row loop; and on any five inputs, EP's
-# four-lane Box–Muller pass must give the bits of
-# math.Sqrt(-2*math.Log(t)/t). Minimization is capped as in fuzz-report:
+# Box–Muller pass (the AVX2 kernel where the host has it) must give the
+# bits of math.Sqrt(-2*math.Log(t)/t). Minimization is capped as in fuzz-report:
 # at the default, minimizing one new input stalled the run for most of
 # its time.
 fuzz-npb:

@@ -8,8 +8,11 @@ package purity
 // records each //ookami:pure entry point with its accepted effect set
 // into a committed baseline. A certified function gaining an impure or
 // hidden-input effect — or losing its marker — fails `make check` until
-// the change is acknowledged with -update-baseline, so the worker-pool
-// and result-cache PRs the ROADMAP plans can trust the certified set.
+// the change is acknowledged with -update-baseline. The memo engine
+// (internal/parexec) relies on the certified set: one memo of each
+// query in its Dispatch table serves concurrent callers (the figure
+// generators parexec.Map runs, ookami-serve's handlers), and
+// TestDispatchCertified admits only certified functions there.
 
 import (
 	"fmt"
@@ -21,7 +24,7 @@ import (
 )
 
 // ParsafePackages is the default certified surface: the model/emulator
-// core the upcoming worker pool fans out over, plus every kernel
+// core the memo engine's dispatched queries call into, plus every kernel
 // package whose simulate/run functions feed the bench registry.
 var ParsafePackages = []string{
 	"internal/blas",
@@ -209,7 +212,7 @@ func DiffParsafe(base ParsafeBaseline, funcs []CertifiedFunc) (regressions, note
 		if !seen[entryKey{e.Package, e.Func}] {
 			regressions = append(regressions, fmt.Sprintf(
 				"%s: certified entry point %s is gone — ookami:pure marker removed or function deleted; "+
-					"downstream worker-pool/cache code may still rely on it", e.File, e.Func))
+					"the memo engine's Dispatch table may still name it (TestDispatchCertified)", e.File, e.Func))
 		}
 	}
 	sort.Strings(regressions)

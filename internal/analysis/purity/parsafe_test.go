@@ -170,8 +170,8 @@ func TestParsafeNewEntryPointIsANote(t *testing.T) {
 
 // TestRepoParsafeBaselineIsCurrent is the committed-tree gate: the
 // checked-in baseline must match what -parsafe computes right now, and
-// the certified surface must stay at or above the floor the worker-pool
-// and caching work relies on.
+// the certified surface must stay at or above the floor the memo engine
+// relies on.
 func TestRepoParsafeBaselineIsCurrent(t *testing.T) {
 	cwd, err := os.Getwd()
 	if err != nil {

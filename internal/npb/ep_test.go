@@ -34,21 +34,9 @@ func sameFloat(a, b float64) bool {
 }
 
 // checkBoxMuller runs boxMuller on a copy of ts and fails on the first
-// element whose bits differ from boxMullerRef's. It also holds log4 on
-// each whole group of four to math.Log's bits, since a wrong log can
-// still give the right factor where the factor is NaN.
+// element whose bits differ from boxMullerRef's.
 func checkBoxMuller(t *testing.T, ts []float64) {
 	t.Helper()
-	for k := 0; k+4 <= len(ts); k += 4 {
-		var got [4]float64
-		got[0], got[1], got[2], got[3] = log4((*[4]float64)(ts[k : k+4]))
-		for j, x := range ts[k : k+4] {
-			if want := math.Log(x); !sameFloat(got[j], want) {
-				t.Fatalf("log4 of %v, lane %d: t = %v (%#016x): got %v (%#016x), math.Log gives %v (%#016x)",
-					ts[k:k+4], j, x, math.Float64bits(x), got[j], math.Float64bits(got[j]), want, math.Float64bits(want))
-			}
-		}
-	}
 	got := append([]float64(nil), ts...)
 	boxMuller(got)
 	for i, x := range ts {
@@ -63,6 +51,9 @@ func checkBoxMuller(t *testing.T, ts []float64) {
 // √2/2: the one mantissa where math.Log's amd64 assembly and its Go
 // code reduce the argument differently.
 func sqrtHalfMantissa(e int) float64 { return math.Ldexp(math.Sqrt2/2, e) }
+
+// minNormal is the bits of the smallest normal float64.
+const minNormal = 0x0010000000000000
 
 // logEdges are the inputs at the edges of boxMuller's lane path.
 var logEdges = []float64{
@@ -86,7 +77,7 @@ var logEdges = []float64{
 	math.NaN(),
 }
 
-// TestBoxMullerMatchesMathLog holds the four-lane Box–Muller pass to
+// TestBoxMullerMatchesMathLog holds the Box–Muller pass to
 // the bits of math.Sqrt(-2*math.Log(t)/t): on every accepted t of the
 // first and last class S chunks, in block-sized and ragged lengths, and
 // with each edge input at every lane position of a group and in the
@@ -114,6 +105,25 @@ func TestBoxMullerMatchesMathLog(t *testing.T) {
 	}
 }
 
+// TestBoxMullerSqrtHalfEveryExponent holds boxMuller to boxMullerRef on
+// 2^e·√2/2 and its two float neighbours, for every e in [-1074, 1023]
+// and at each lane of a group of four. √2/2 is the mantissa that
+// math.Log's amd64 assembly doubles and its Go code does not, so this
+// test is why the kernel needs no fallback for it.
+func TestBoxMullerSqrtHalfEveryExponent(t *testing.T) {
+	fill := [4]float64{0.25, 0.5, 0.75, 0.9}
+	for e := -1074; e <= 1023; e++ {
+		x := sqrtHalfMantissa(e)
+		for _, v := range []float64{math.Nextafter(x, 0), x, math.Nextafter(x, math.Inf(1))} {
+			for lane := range fill {
+				ts := fill
+				ts[lane] = v
+				checkBoxMuller(t, ts[:])
+			}
+		}
+	}
+}
+
 // FuzzBoxMullerMatchesMathLog holds boxMuller to math.Log's bits on any
 // five inputs, at every length from 1 (tail only) to 5 (one group of
 // four and a tail). The committed seeds put each edge of the lane path
@@ -129,8 +139,8 @@ func FuzzBoxMullerMatchesMathLog(f *testing.F) {
 }
 
 // BenchmarkBoxMuller times the Box–Muller pass over the accepted t of
-// class S chunk 0 in EP's 512-element blocks: the four-lane pass
-// against the one-element math.Log loop it replaces.
+// class S chunk 0 in EP's 512-element blocks: boxMuller (the AVX2
+// kernel where the host has it) against the one-element math.Log loop.
 func BenchmarkBoxMuller(b *testing.B) {
 	ts := acceptedT(0)
 	buf := make([]float64, len(ts))

@@ -625,3 +625,11 @@ func TestEPMatchesReferenceLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestEPMatchesReferenceLoopWithoutAVX2 runs TestEPMatchesReferenceLoop
+// on boxMuller's math.Log loop, the path of hosts without AVX2.
+func TestEPMatchesReferenceLoopWithoutAVX2(t *testing.T) {
+	defer func(on bool) { useAVX2 = on }(useAVX2)
+	useAVX2 = false
+	TestEPMatchesReferenceLoop(t)
+}

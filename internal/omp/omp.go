@@ -304,7 +304,10 @@ type Barrier struct {
 	phase atomic.Int64 // completed phases
 	mu    sync.Mutex   // guards parking on cond
 	cond  *sync.Cond
-	id    int64 // instance id keying trace regions
+	// region keys this instance's wait spans in a trace,
+	// "barrier<instance id>", built once so a traced Wait allocates
+	// nothing.
+	region string
 }
 
 // barrierSpins bounds how many times a waiter polls the phase before it
@@ -321,17 +324,18 @@ var barrierSeq int64
 
 // NewBarrier creates a barrier for n participants.
 func NewBarrier(n int) *Barrier {
-	b := &Barrier{n: n, id: atomic.AddInt64(&barrierSeq, 1)}
+	b := &Barrier{n: n, region: "barrier" + trace.Itoa(atomic.AddInt64(&barrierSeq, 1))}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
 // Wait blocks until all n participants have called Wait. On traced
-// runs each participant's wait is recorded as a span keyed by barrier
-// instance and phase, with the arrival order standing in for a thread
-// id (Wait has no tid parameter); the spread of the spans is the
-// barrier skew. Distinct Barrier instances get distinct regions so
-// sequential barriers never merge in the summary.
+// runs each participant's wait is recorded as a span in the instance's
+// region with the phase in its ArgPhase arg, and the arrival order
+// standing in for a thread id (Wait has no tid parameter); the spread
+// of one phase's spans is the barrier skew. Distinct Barrier instances
+// get distinct regions so sequential barriers never merge in the
+// summary.
 func (b *Barrier) Wait() {
 	traced := trace.Enabled()
 	var t0 int64
@@ -361,7 +365,8 @@ func (b *Barrier) Wait() {
 			TID:    int(arrival),
 			Cat:    trace.CatOMP,
 			Name:   trace.NameBarrierWait,
-			Region: "barrier" + trace.Itoa(b.id) + "#" + trace.Itoa(phase),
+			Region: b.region,
+			Args:   [3]trace.Arg{{Key: trace.ArgPhase, Val: phase}},
 		})
 	}
 }

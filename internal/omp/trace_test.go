@@ -241,6 +241,19 @@ func TestBarrierWaitTraced(t *testing.T) {
 	}
 }
 
+// TestTracedBarrierWaitAllocatesNothing pins that a traced Wait emits
+// its span from the region string NewBarrier built, with the phase in an
+// arg, rather than building a string per wait.
+func TestTracedBarrierWaitAllocatesNothing(t *testing.T) {
+	b := NewBarrier(1)
+	trace.Disable()
+	trace.Enable()
+	defer trace.Disable()
+	if n := testing.AllocsPerRun(100, b.Wait); n != 0 {
+		t.Fatalf("a traced Wait makes %v allocations, want 0", n)
+	}
+}
+
 // TestUntracedRunEmitsNothing pins the zero-cost-off contract at the
 // API level: with tracing disabled, a run leaves no trace state behind.
 func TestUntracedRunEmitsNothing(t *testing.T) {

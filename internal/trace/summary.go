@@ -94,8 +94,8 @@ func (tr *Trace) Summarize() *Summary {
 	}
 	work := map[string][]workSpan{}
 	iters := map[string]map[int]*threadSummary{}
-	barriers := map[string]*barrierSummary{}
-	var barrierOrder []string
+	barriers := map[barrierKey]*barrierSummary{}
+	var barrierOrder []barrierKey
 
 	for i := range tr.Events {
 		ev := &tr.Events[i]
@@ -123,11 +123,13 @@ func (tr *Trace) Summarize() *Summary {
 			t.Chunks++
 			region(ev.Region).ChunkHist[n]++
 		case ev.Ph == PhaseSpan && ev.Name == NameBarrierWait:
-			b := barriers[barrierKey(ev.Cat, ev.Region)]
+			key := barrierKey{cat: ev.Cat, region: ev.Region}
+			key.phase, key.phased = ev.lookupArg(ArgPhase)
+			b := barriers[key]
 			if b == nil {
-				b = &barrierSummary{Region: ev.Region, Cat: ev.Cat, TS: ev.TS, MinWait: ev.Dur}
-				barriers[barrierKey(ev.Cat, ev.Region)] = b
-				barrierOrder = append(barrierOrder, barrierKey(ev.Cat, ev.Region))
+				b = &barrierSummary{Region: key.name(), Cat: ev.Cat, TS: ev.TS, MinWait: ev.Dur}
+				barriers[key] = b
+				barrierOrder = append(barrierOrder, key)
 			}
 			b.Ranks++
 			if ev.Dur > b.MaxWait {
@@ -197,7 +199,23 @@ func (tr *Trace) Summarize() *Summary {
 	return s
 }
 
-func barrierKey(cat, region string) string { return cat + "/" + region }
+// barrierKey identifies one barrier phase: the Region of its wait
+// spans, plus their ArgPhase when they carry one. A span without the
+// arg (MPI's, or one from a trace written before the arg existed) has
+// the phase in its Region already.
+type barrierKey struct {
+	cat, region string
+	phase       int64
+	phased      bool
+}
+
+// name renders the phase as "barrier<instance>#<phase>".
+func (k barrierKey) name() string {
+	if !k.phased {
+		return k.region
+	}
+	return k.region + "#" + Itoa(k.phase)
+}
 
 // WriteSummary renders the aggregated text summary.
 func (tr *Trace) WriteSummary(w io.Writer) error {

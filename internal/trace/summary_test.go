@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -107,6 +108,45 @@ func TestWriteSummaryRendersKeyNumbers(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestBarrierPhaseArgSummarizesAsRegion holds wait spans that carry
+// their phase in ArgPhase, directly and after a Chrome JSON round trip,
+// to the summary text of the same spans with the phase in their Region,
+// the form MPI barriers and older trace files hold.
+func TestBarrierPhaseArgSummarizesAsRegion(t *testing.T) {
+	inRegion, inArg := &Trace{Wall: 5000}, &Trace{Wall: 5000}
+	for i, phase := range []int64{0, 0, 1, 1} {
+		ev := Event{TS: int64(100 * i), Dur: int64(10 + 7*i), Ph: PhaseSpan, TID: i % 2,
+			Cat: CatOMP, Name: NameBarrierWait, Region: "barrier3#" + Itoa(phase)}
+		inRegion.Events = append(inRegion.Events, ev)
+		ev.Region, ev.Args[0] = "barrier3", Arg{Key: ArgPhase, Val: phase}
+		inArg.Events = append(inArg.Events, ev)
+	}
+	var buf bytes.Buffer
+	if err := inArg.WriteChrome(&buf); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
+	}
+	roundTrip, err := ReadChrome(&buf)
+	if err != nil {
+		t.Fatalf("ReadChrome: %v", err)
+	}
+	summary := func(tr *Trace) string {
+		var sb strings.Builder
+		if err := tr.WriteSummary(&sb); err != nil {
+			t.Fatalf("WriteSummary: %v", err)
+		}
+		return sb.String()
+	}
+	want := summary(inRegion)
+	if !strings.Contains(want, "barrier3#1: participants=2") {
+		t.Fatalf("summary lacks phase 1 of barrier3:\n%s", want)
+	}
+	for name, tr := range map[string]*Trace{"phase arg": inArg, "round trip": roundTrip} {
+		if got := summary(tr); got != want {
+			t.Errorf("%s: summary\n%s\nwant\n%s", name, got, want)
 		}
 	}
 }

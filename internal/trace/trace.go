@@ -66,7 +66,7 @@ type Event struct {
 	Cat  string
 	Name string
 	// Region groups events of one logical unit: a parallel-for
-	// instance ("for#3(Dynamic)"), a barrier phase ("barrier#7"), or a
+	// instance ("for#3(Dynamic)"), a barrier instance ("barrier7"), or a
 	// benchmark workload name.
 	Region string
 	Args   [3]Arg

@@ -28,8 +28,11 @@ const (
 	// NameChunk is one chunk grant (instant, per TID, args lo/n).
 	NameChunk = "chunk"
 	// NameBarrierWait is one participant's barrier wait span (per
-	// TID/rank, Region "barrier<instance>#<phase>" so distinct barrier
-	// instances never merge in summaries).
+	// TID/rank). OMP barriers set Region "barrier<instance>" and the
+	// phase in ArgPhase; MPI barriers set Region
+	// "barrier<instance>#<phase>". Either way the summary keys one
+	// barrier phase and prints it as "barrier<instance>#<phase>", so
+	// distinct barrier instances never merge.
 	NameBarrierWait = "barrier.wait"
 	// NameWatchdog is the MPI deadlock watchdog firing (instant).
 	NameWatchdog = "watchdog"
@@ -55,6 +58,8 @@ const (
 	// ArgCovPPM is a coefficient of variation in parts per million
 	// (args are integers; 1% = 10000).
 	ArgCovPPM = "cov_ppm"
+	// ArgPhase is the barrier phase a wait span waited in.
+	ArgPhase = "phase"
 )
 
 // Counter names.
@@ -74,10 +79,17 @@ const RegionTID = -1
 
 // Arg looks up a named arg on the event, returning 0 when absent.
 func (ev *Event) Arg(key string) int64 {
+	v, _ := ev.lookupArg(key)
+	return v
+}
+
+// lookupArg looks up a named arg on the event and reports whether the
+// event carries it.
+func (ev *Event) lookupArg(key string) (int64, bool) {
 	for _, a := range ev.Args {
 		if a.Key == key {
-			return a.Val
+			return a.Val, true
 		}
 	}
-	return 0
+	return 0, false
 }
