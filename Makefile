@@ -78,17 +78,19 @@ fuzz-predict:
 fuzz-vmath:
 	$(GO) test ./internal/vmath -run '^$$' -fuzz=FuzzVmathMatchesRegisterRef -fuzztime=30s
 
-# Short fuzz passes over NPB's two bit-for-bit rewrites, one target per
-# run (`go test -fuzz` takes one): on any small CSR matrix (ragged, empty
+# Short fuzz passes over NPB's bit-for-bit rewrites, one target per run
+# (`go test -fuzz` takes one): on any small CSR matrix (ragged, empty
 # and odd-count rows) and team size, CG's two-rows-at-a-time SpMV must
-# give the bits of the one-row loop; and on any five inputs, EP's
+# give the bits of the one-row loop; on any five inputs, EP's
 # Box–Muller pass (the AVX2 kernel where the host has it) must give the
-# bits of math.Sqrt(-2*math.Log(t)/t). Minimization is capped as in fuzz-report:
-# at the default, minimizing one new input stalled the run for most of
-# its time.
+# bits of math.Sqrt(-2*math.Log(t)/t); and from any odd LCG state and
+# block length, EP's AVX2 block must give every output bit of the Go
+# block loop. Minimization is capped as in fuzz-report: at the default,
+# minimizing one new input stalled the run for most of its time.
 fuzz-npb:
 	$(GO) test ./internal/npb -run '^$$' -fuzz='^FuzzMulVecMatchesRowLoop$$' -fuzztime=15s -fuzzminimizetime=100x
 	$(GO) test ./internal/npb -run '^$$' -fuzz='^FuzzBoxMullerMatchesMathLog$$' -fuzztime=15s -fuzzminimizetime=100x
+	$(GO) test ./internal/npb -run '^$$' -fuzz='^FuzzEPBlockMatchesGo$$' -fuzztime=15s -fuzzminimizetime=100x
 
 # Short fuzz pass over the trace reader, which loads files from outside
 # the process in both the object and the bare-array trace_event form:

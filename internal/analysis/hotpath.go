@@ -332,9 +332,16 @@ func isParallelRuntimeCall(p *Package, call *ast.CallExpr) bool {
 }
 
 // capturedFloatAccums finds `x += expr` / `x = x + expr` style float
-// accumulation into variables declared outside lit.
+// accumulation into variables declared outside lit, and into an indexed
+// slot `s[i]` of such a variable whose index uses no identifier declared
+// inside lit: every thread then adds into the same slot. A slot indexed
+// by a closure-local value (`parts[chunk]`) is per-thread and stays
+// clean.
 func capturedFloatAccums(p *Package, lit *ast.FuncLit, fnName string) []Diagnostic {
 	var diags []Diagnostic
+	inside := func(obj types.Object) bool {
+		return obj.Pos() >= lit.Pos() && obj.Pos() < lit.End()
+	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
@@ -345,7 +352,7 @@ func capturedFloatAccums(p *Package, lit *ast.FuncLit, fnName string) []Diagnost
 		if !accum && as.Tok == token.ASSIGN && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
 			// x = x + e (or e + x)
 			if bin, ok := ast.Unparen(as.Rhs[0]).(*ast.BinaryExpr); ok {
-				if sameIdent(as.Lhs[0], bin.X) || (bin.Op == token.ADD && sameIdent(as.Lhs[0], bin.Y)) {
+				if sameExpr(as.Lhs[0], bin.X) || (bin.Op == token.ADD && sameExpr(as.Lhs[0], bin.Y)) {
 					accum = true
 				}
 			}
@@ -353,27 +360,52 @@ func capturedFloatAccums(p *Package, lit *ast.FuncLit, fnName string) []Diagnost
 		if !accum || len(as.Lhs) != 1 {
 			return true
 		}
-		id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
+		if t := p.Info.TypeOf(as.Lhs[0]); t == nil || !isFloat(t) {
+			return true
+		}
+		lhs := ast.Unparen(as.Lhs[0])
+		var index ast.Expr
+		if ix, ok := lhs.(*ast.IndexExpr); ok {
+			lhs, index = ast.Unparen(ix.X), ix.Index
+		}
+		id, ok := lhs.(*ast.Ident)
 		if !ok {
 			return true
 		}
 		obj, _ := p.Info.Uses[id].(*types.Var)
-		if obj == nil || !isFloat(obj.Type()) {
-			return true
-		}
-		if obj.Pos() >= lit.Pos() && obj.Pos() < lit.End() {
+		if obj == nil || inside(obj) {
 			return true // declared inside the closure: thread-private
+		}
+		name := id.Name
+		if index != nil {
+			private := false
+			ast.Inspect(index, func(n ast.Node) bool {
+				if iid, ok := n.(*ast.Ident); ok {
+					if o := p.Info.Uses[iid]; o != nil && inside(o) {
+						private = true
+					}
+				}
+				return !private
+			})
+			if private {
+				return true // a slot chosen per thread
+			}
+			name = types.ExprString(as.Lhs[0])
 		}
 		diags = append(diags, p.Diag(HotReduce{}.Name(), as,
 			"float accumulation into captured %s from a parallel closure in hot function %s races and its order depends on goroutine scheduling; use the team's Reduce helpers",
-			id.Name, fnName))
+			name, fnName))
 		return true
 	})
 	return diags
 }
 
-func sameIdent(a, b ast.Expr) bool {
-	ai, ok1 := ast.Unparen(a).(*ast.Ident)
-	bi, ok2 := ast.Unparen(b).(*ast.Ident)
-	return ok1 && ok2 && ai.Name == bi.Name
+// sameExpr reports whether a and b are the same identifier or index
+// expression, as written.
+func sameExpr(a, b ast.Expr) bool {
+	switch ast.Unparen(a).(type) {
+	case *ast.Ident, *ast.IndexExpr:
+		return types.ExprString(ast.Unparen(a)) == types.ExprString(ast.Unparen(b))
+	}
+	return false
 }

@@ -223,22 +223,77 @@ func SumPrivate(t *omp.Team, xs []float64, parts []float64) {
 		parts[tid] = local
 	})
 }
+
+func SumSlot(t *omp.Team, xs []float64, out []float64) {
+	t.ForRange(0, len(xs), func(tid, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[0] += xs[i]
+		}
+	})
+}
+
+func SumPerThreadSlot(t *omp.Team, xs []float64, parts []float64) {
+	t.ForRange(0, len(xs), func(tid, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			parts[tid] += xs[i]
+			parts[tid+1] = parts[tid+1] + xs[i]
+		}
+	})
+}
 `,
 	})
 	diags, err := Vet(newLoader(t, root), []string{"./..."}, []Analyzer{HotReduce{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 1 {
-		t.Fatalf("got %d findings, want 1: %v", len(diags), diags)
+	if len(diags) != 2 {
+		t.Fatalf("got %d findings, want 2: %v", len(diags), diags)
 	}
-	d := diags[0]
-	if d.Analyzer != "hotreduce" || d.Pos.Filename != "internal/loops/kernel.go" {
-		t.Errorf("unexpected finding %s", d)
+	for i, want := range []struct{ slot, fn string }{{"sum", "Sum"}, {"out[0]", "SumSlot"}} {
+		d := diags[i]
+		if d.Analyzer != "hotreduce" || d.Pos.Filename != "internal/loops/kernel.go" {
+			t.Errorf("unexpected finding %s", d)
+		}
+		if !strings.Contains(d.Message, "captured "+want.slot+" ") || !strings.Contains(d.Message, "function "+want.fn+" races") {
+			t.Errorf("message should name %s and %s: %s", want.slot, want.fn, d.Message)
+		}
 	}
-	if !strings.Contains(d.Message, "sum") || !strings.Contains(d.Message, "Sum") {
-		t.Errorf("message should name the variable and function: %s", d.Message)
-	}
+}
+
+// TestHotReduceFlagsSharedSlot holds hotreduce to indexed slots: a
+// captured slice slot whose index uses nothing declared in the closure
+// is one slot every goroutine adds into, whatever the index.
+func TestHotReduceFlagsSharedSlot(t *testing.T) {
+	runFixture(t, "ookami/internal/loops", []Analyzer{HotReduce{}}, map[string]string{
+		"slot.go": `package loops
+
+func SharedSlot(xs []float64, out []float64, k int) {
+	go func() {
+		for _, v := range xs {
+			out[0] += v   // want hotreduce
+			out[k] -= v   // want hotreduce
+			out[k] = out[k] + v // want hotreduce
+		}
+	}()
+}
+
+func PrivateSlot(xs []float64, out []float64) {
+	go func() {
+		for i, v := range xs {
+			out[i] += v // indexed by a closure-local value
+		}
+	}()
+}
+
+func IntSlot(xs []int, out []int) {
+	go func() {
+		for _, v := range xs {
+			out[0] += v // integer adds do not depend on order
+		}
+	}()
+}
+`,
+	})
 }
 
 // TestHotpathSkipsTestFiles ensures benchmark helpers in _test.go files

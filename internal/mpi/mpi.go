@@ -317,8 +317,8 @@ type barrier struct {
 	mu      sync.Mutex
 	n       int
 	count   int
-	id      int64         // process-wide instance id, disambiguates trace regions
-	phase   int64         // completed-phase counter, keys barrier trace regions
+	region  string        // "barrier<instance>": the trace region of every phase
+	phase   int64         // completed-phase counter, the trace spans' ArgPhase
 	arrived []bool        // per rank: waiting in the current phase
 	release chan struct{} // closed when the current phase completes
 	timeout time.Duration // 0 = wait forever
@@ -332,16 +332,11 @@ var barrierSeq int64
 func newBarrier(n int, timeout time.Duration) *barrier {
 	return &barrier{
 		n:       n,
-		id:      atomic.AddInt64(&barrierSeq, 1),
+		region:  "barrier" + trace.Itoa(atomic.AddInt64(&barrierSeq, 1)),
 		arrived: make([]bool, n),
 		release: make(chan struct{}),
 		timeout: timeout,
 	}
-}
-
-// traceRegion keys one phase of this barrier instance in the trace.
-func (b *barrier) traceRegion(phase int64) string {
-	return "barrier" + trace.Itoa(b.id) + "#" + trace.Itoa(phase)
 }
 
 func (b *barrier) wait(rank int) {
@@ -414,7 +409,8 @@ func (b *barrier) wait(rank int) {
 				TID:    rank,
 				Cat:    trace.CatMPI,
 				Name:   trace.NameWatchdog,
-				Region: b.traceRegion(phase),
+				Region: b.region,
+				Args:   [3]trace.Arg{{Key: trace.ArgPhase, Val: phase}},
 			})
 		}
 		panic(fmt.Sprintf(
@@ -423,8 +419,9 @@ func (b *barrier) wait(rank int) {
 	}
 }
 
-// emitBarrierWait records one rank's barrier wait as a span keyed by
-// the barrier instance and the phase it waited in.
+// emitBarrierWait records one rank's barrier wait as a span in the
+// barrier instance's region, with the phase it waited in as ArgPhase,
+// so a traced wait builds no string.
 func (b *barrier) emitBarrierWait(rank int, phase int64, t0 int64) {
 	trace.Emit(trace.Event{
 		TS:     t0,
@@ -433,6 +430,7 @@ func (b *barrier) emitBarrierWait(rank int, phase int64, t0 int64) {
 		TID:    rank,
 		Cat:    trace.CatMPI,
 		Name:   trace.NameBarrierWait,
-		Region: b.traceRegion(phase),
+		Region: b.region,
+		Args:   [3]trace.Arg{{Key: trace.ArgPhase, Val: phase}},
 	})
 }

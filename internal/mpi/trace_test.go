@@ -99,13 +99,20 @@ func TestBarrierWaitSpansPerRank(t *testing.T) {
 	if tr == nil {
 		t.Fatal("no trace collected")
 	}
-	perPhase := map[string]map[int]int{}
+	// One barrier phase is a (region, phase) pair, as the trace summary
+	// keys it: the region names the instance, ArgPhase the phase.
+	type phaseKey struct {
+		region string
+		phase  int64
+	}
+	perPhase := map[phaseKey]map[int]int{}
 	for _, ev := range tr.Events {
 		if ev.Cat == trace.CatMPI && ev.Name == trace.NameBarrierWait {
-			m := perPhase[ev.Region]
+			k := phaseKey{ev.Region, ev.Arg(trace.ArgPhase)}
+			m := perPhase[k]
 			if m == nil {
 				m = map[int]int{}
-				perPhase[ev.Region] = m
+				perPhase[k] = m
 			}
 			m[ev.TID]++
 		}
@@ -115,13 +122,30 @@ func TestBarrierWaitSpansPerRank(t *testing.T) {
 	}
 	for phase, m := range perPhase {
 		if len(m) != ranks {
-			t.Fatalf("phase %s: %d distinct ranks waited, want %d", phase, len(m), ranks)
+			t.Fatalf("phase %v: %d distinct ranks waited, want %d", phase, len(m), ranks)
 		}
 		for rank, n := range m {
 			if n != 1 {
-				t.Fatalf("phase %s rank %d emitted %d wait spans, want 1", phase, rank, n)
+				t.Fatalf("phase %v rank %d emitted %d wait spans, want 1", phase, rank, n)
 			}
 		}
+	}
+}
+
+// TestTracingBarrierWaitAllocatesNothing pins that tracing an MPI
+// barrier wait adds no allocation: the span carries the region string
+// newBarrier built and the phase in an arg. The wait itself makes one
+// allocation per phase, traced or not: the next phase's release
+// channel.
+func TestTracingBarrierWaitAllocatesNothing(t *testing.T) {
+	b := newBarrier(1, 0)
+	wait := func() { b.wait(0) }
+	trace.Disable()
+	untraced := testing.AllocsPerRun(100, wait)
+	trace.Enable()
+	defer trace.Disable()
+	if traced := testing.AllocsPerRun(100, wait); traced != untraced {
+		t.Fatalf("a traced barrier wait makes %v allocations, an untraced one %v", traced, untraced)
 	}
 }
 

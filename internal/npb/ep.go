@@ -17,13 +17,15 @@ import (
 // stream partitioning via the LCG's O(log n) jump-ahead, so results are
 // identical for any thread count.
 //
-// Each chunk works in blocks of epBlock pairs held on the stack, in four
-// passes: an 8-way LCG fill of the uniforms; a branch-free compaction of
-// the accepted pairs, so a mispredicted acceptance test no longer throws
-// away in-flight log/divide/sqrt work; the Box–Muller factor, four pairs
-// per AVX2 step where the host has it (boxMuller); and the histogram and
-// sums in the original pair order.
-// Every operand and every sum is the scalar loop's, bit for bit.
+// Each chunk works in blocks of epBlock pairs held on the stack. Where the
+// host has AVX2, one assembly pass per block (epBlockAVX2) fills four
+// pairs at a time straight from the LCG state, packs the accepted ones
+// with a permutation table (SVE's COMPACT in AVX2), and runs the
+// Box–Muller factor, the histogram and the sums on each four accepted
+// pairs; the sums stay serial adds in pair order. Elsewhere blockGo runs
+// the same four steps as scalar Go passes, and stays the reference the
+// tests hold the assembly to. Every operand and every sum is the scalar
+// loop's, bit for bit.
 type EP struct{}
 
 // NewEP returns the EP benchmark.
@@ -73,66 +75,23 @@ func (e *EP) RunFull(c Class, team *omp.Team) EPOutput {
 	}
 	pairsPerChunk := nPairs / uint64(nChunks)
 
-	type partial struct {
-		sx, sy float64
-		q      [10]float64
-		pairs  float64
-	}
 	// One partial per chunk, merged in chunk order afterwards, so the
 	// result is bitwise identical for every thread count.
-	parts := make([]partial, nChunks)
+	parts := make([]epPartial, nChunks)
 	team.ForRange(0, nChunks, omp.Static, 0, func(a, b int) {
-		var u [2 * epBlock]float64
-		var xs, ys, fs [epBlock]float64
+		var buf epBuf
 		for chunk := a; chunk < b; chunk++ {
-			// Position an independent generator at this chunk's offset:
-			// each pair consumes two numbers. The sums stay in locals
-			// and the chunk's partial is written once.
-			g := rng.At(rng.DefaultSeed, 2*uint64(chunk)*pairsPerChunk)
-			var sx, sy float64
-			var q [10]int // annulus counts: integer adds, converted once
-			pairs := 0
+			// Position this chunk's stream: each pair consumes two
+			// numbers. The sums and counts stay in acc and the chunk's
+			// partial is written once.
+			s := rng.At(rng.DefaultSeed, 2*uint64(chunk)*pairsPerChunk).State()
+			var acc epSums
 			for left := pairsPerChunk; left > 0; {
 				nb := int(min(left, epBlock))
 				left -= uint64(nb)
-				g.Fill(u[:2*nb])
-				// Keep the pairs inside the unit disc without a branch:
-				// every pair is stored, and the count moves only for
-				// accepted ones, so a rejected pair is overwritten.
-				n := 0
-				for i := 0; i < nb; i++ {
-					x := 2*u[2*i] - 1
-					y := 2*u[2*i+1] - 1
-					t := x*x + y*y
-					xs[n], ys[n], fs[n] = x, y, t
-					acc := 0
-					if t <= 1 {
-						acc = 1
-					}
-					n += acc
-				}
-				boxMuller(fs[:n])
-				pairs += n
-				for k := range fs[:n] {
-					gx, gy := xs[k]*fs[k], ys[k]*fs[k]
-					// Both are non-negative after Abs, so max truncates
-					// to the same annulus as math.Max.
-					l := int(max(math.Abs(gx), math.Abs(gy)))
-					if l > 9 {
-						l = 9
-					}
-					q[l]++
-					sx += gx
-					sy += gy
-				}
+				s = buf.block(s, nb, &acc)
 			}
-			// Every count is below 2^53, so the conversions are exact
-			// and the partial holds the bits of float counters.
-			p := partial{sx: sx, sy: sy, pairs: float64(pairs)}
-			for l, c := range q {
-				p.q[l] = float64(c)
-			}
-			parts[chunk] = p
+			parts[chunk] = acc.partial()
 		}
 	})
 
@@ -146,6 +105,108 @@ func (e *EP) RunFull(c Class, team *omp.Team) EPOutput {
 		}
 	}
 	return out
+}
+
+// epPartial is one chunk's contribution to EPOutput.
+type epPartial struct {
+	sx, sy float64
+	q      [10]float64
+	pairs  float64
+}
+
+// epSums is a chunk's running sums and annulus counts. q holds four
+// lane-private count tables, one per ymm lane of epBlockAVX2, so that
+// pairs in the same annulus do not chain through one memory slot; the Go
+// path counts into q[0]. partial adds the tables together.
+type epSums struct {
+	sx, sy float64
+	q      [4][10]int
+	pairs  int
+}
+
+// epBuf is one block's working storage: the uniforms of blockGo and the
+// accepted pairs, packed. Rejected pairs may leave values past the
+// accepted count; they are overwritten or never read.
+type epBuf struct {
+	u          [2 * epBlock]float64
+	xs, ys, fs [epBlock]float64
+}
+
+// block runs one block of nb pairs, from LCG state s, into acc and
+// returns the state after it: epBlockAVX2 where the host has AVX2, and
+// blockGo elsewhere.
+func (b *epBuf) block(s uint64, nb int, acc *epSums) uint64 {
+	if !useAVX2 {
+		return b.blockGo(s, nb, acc)
+	}
+	s, n := epBlockAVX2(s, nb, b, acc)
+	// The kernel factors, counts and sums whole groups of four accepted
+	// pairs; the last n%4 take math.Log.
+	k := n &^ 3
+	boxMuller(b.fs[k:n])
+	acc.add(b, k, n)
+	acc.pairs += n
+	return s
+}
+
+// blockGo is block in four scalar passes: an 8-way LCG fill of the
+// uniforms; a branch-free compaction of the accepted pairs, so a
+// mispredicted acceptance test cannot throw away in-flight
+// log/divide/sqrt work; the Box–Muller factor (boxMuller); and the
+// histogram and sums in pair order (add). The products are explicit
+// float64 conversions, so that no GOARCH fuses them into an FMA.
+func (b *epBuf) blockGo(s uint64, nb int, acc *epSums) uint64 {
+	g := rng.NewLCG(s)
+	g.Fill(b.u[:2*nb])
+	// Keep the pairs inside the unit disc without a branch: every pair
+	// is stored, and the count moves only for accepted ones, so a
+	// rejected pair is overwritten. 2*u - 1 is exact, fused or not.
+	n := 0
+	for i := 0; i < nb; i++ {
+		x := 2*b.u[2*i] - 1
+		y := 2*b.u[2*i+1] - 1
+		t := float64(x*x) + float64(y*y)
+		b.xs[n], b.ys[n], b.fs[n] = x, y, t
+		in := 0
+		if t <= 1 {
+			in = 1
+		}
+		n += in
+	}
+	boxMuller(b.fs[:n])
+	acc.add(b, 0, n)
+	acc.pairs += n
+	return g.State()
+}
+
+// add histograms the accepted pairs k..n-1 of b, whose fs hold their
+// Box–Muller factors, and adds them to the sums in pair order.
+func (acc *epSums) add(b *epBuf, k, n int) {
+	sx, sy := acc.sx, acc.sy
+	for ; k < n; k++ {
+		gx, gy := float64(b.xs[k]*b.fs[k]), float64(b.ys[k]*b.fs[k])
+		// Both are non-negative after Abs, so max truncates to the
+		// same annulus as math.Max.
+		l := int(max(math.Abs(gx), math.Abs(gy)))
+		if l > 9 {
+			l = 9
+		}
+		acc.q[0][l]++
+		sx += gx
+		sy += gy
+	}
+	acc.sx, acc.sy = sx, sy
+}
+
+// partial returns the chunk's contribution. Every count is below 2^53,
+// so the conversions are exact and the partial holds the bits of float
+// counters.
+func (acc *epSums) partial() epPartial {
+	p := epPartial{sx: acc.sx, sy: acc.sy, pairs: float64(acc.pairs)}
+	for l := range p.q {
+		p.q[l] = float64(acc.q[0][l] + acc.q[1][l] + acc.q[2][l] + acc.q[3][l])
+	}
+	return p
 }
 
 // boxMuller replaces every t in fs by the Box–Muller factor

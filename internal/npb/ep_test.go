@@ -163,3 +163,68 @@ func BenchmarkBoxMuller(b *testing.B) {
 		})
 	})
 }
+
+// FuzzEPBlockMatchesGo holds one EP block through epBlockAVX2 to the
+// bits of blockGo on boxMuller's math.Log loop: from any odd 46-bit LCG
+// state and any block length up to epBlock, the accepted pairs (xs, ys
+// and their factors fs), the annulus counts, the sums, the accepted
+// count and the state after the block must all agree. The sums start
+// from values that round, so the order of the adds shows. The committed
+// seeds hold a state near 2^46, a length that is not a multiple of
+// four, a block that accepts no pair, and an empty block.
+func FuzzEPBlockMatchesGo(f *testing.F) {
+	f.Add(uint64(rng.DefaultSeed), uint(epBlock))
+	f.Fuzz(func(t *testing.T, s uint64, nb uint) {
+		if !useAVX2 {
+			t.Skip("no AVX2 on this host")
+		}
+		s = s&(1<<46-1) | 1
+		n := int(nb % (epBlock + 1))
+		start := epSums{sx: 1.0 / 3, sy: -1.0 / 7}
+		var got, want epBuf
+		gotAcc, wantAcc := start, start
+		gotS := got.block(s, n, &gotAcc)
+		useAVX2 = false
+		wantS := want.blockGo(s, n, &wantAcc)
+		useAVX2 = true
+		if gotS != wantS || gotAcc.pairs != wantAcc.pairs {
+			t.Fatalf("state %#x, %d pairs: state after %#x, %d accepted; Go: %#x, %d",
+				s, n, gotS, gotAcc.pairs, wantS, wantAcc.pairs)
+		}
+		for k := range wantAcc.pairs {
+			if !sameFloat(got.xs[k], want.xs[k]) || !sameFloat(got.ys[k], want.ys[k]) || !sameFloat(got.fs[k], want.fs[k]) {
+				t.Fatalf("state %#x, %d pairs: accepted pair %d is (%v, %v, %v), Go (%v, %v, %v)",
+					s, n, k, got.xs[k], got.ys[k], got.fs[k], want.xs[k], want.ys[k], want.fs[k])
+			}
+		}
+		if g, w := gotAcc.partial(), wantAcc.partial(); g != w {
+			t.Fatalf("state %#x, %d pairs: sums and counts %+v, Go %+v", s, n, g, w)
+		}
+	})
+}
+
+// BenchmarkEPBlock times one class S chunk, 128 blocks of epBlock
+// pairs: block (epBlockAVX2 where the host has it) against blockGo on
+// boxMuller's math.Log loop.
+func BenchmarkEPBlock(b *testing.B) {
+	s0 := rng.At(rng.DefaultSeed, 0).State()
+	run := func(b *testing.B, pass func(*epBuf, uint64, int, *epSums) uint64) {
+		var buf epBuf
+		var acc epSums
+		b.ReportAllocs()
+		for range b.N {
+			acc = epSums{}
+			s := s0
+			for range 1 << epChunkLog / epBlock {
+				s = pass(&buf, s, epBlock, &acc)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N<<epChunkLog), "ns/pair")
+	}
+	b.Run("block", func(b *testing.B) { run(b, (*epBuf).block) })
+	b.Run("go", func(b *testing.B) {
+		defer func(on bool) { useAVX2 = on }(useAVX2)
+		useAVX2 = false
+		run(b, (*epBuf).blockGo)
+	})
+}

@@ -201,8 +201,8 @@ func (tr *Trace) Summarize() *Summary {
 
 // barrierKey identifies one barrier phase: the Region of its wait
 // spans, plus their ArgPhase when they carry one. A span without the
-// arg (MPI's, or one from a trace written before the arg existed) has
-// the phase in its Region already.
+// arg (one from a trace written before the arg existed) has the phase
+// in its Region already.
 type barrierKey struct {
 	cat, region string
 	phase       int64
@@ -263,8 +263,11 @@ func (tr *Trace) WriteSummary(w io.Writer) error {
 	}
 
 	for _, ev := range s.Instants {
+		// A watchdog instant names its barrier phase as a wait span does.
+		key := barrierKey{region: ev.Region}
+		key.phase, key.phased = ev.lookupArg(ArgPhase)
 		p.f("\n[%s] instant %s at %s region=%s tid=%d\n",
-			ev.Cat, ev.Name, fmtNS(ev.TS), ev.Region, ev.TID)
+			ev.Cat, ev.Name, fmtNS(ev.TS), key.name(), ev.TID)
 	}
 
 	if len(s.Counters) > 0 {

@@ -112,10 +112,11 @@ func TestWriteSummaryRendersKeyNumbers(t *testing.T) {
 	}
 }
 
-// TestBarrierPhaseArgSummarizesAsRegion holds wait spans that carry
-// their phase in ArgPhase, directly and after a Chrome JSON round trip,
-// to the summary text of the same spans with the phase in their Region,
-// the form MPI barriers and older trace files hold.
+// TestBarrierPhaseArgSummarizesAsRegion holds wait spans and a
+// watchdog instant that carry their phase in ArgPhase, directly and
+// after a Chrome JSON round trip, to the summary text of the same
+// events with the phase in their Region, the form older trace files
+// hold.
 func TestBarrierPhaseArgSummarizesAsRegion(t *testing.T) {
 	inRegion, inArg := &Trace{Wall: 5000}, &Trace{Wall: 5000}
 	for i, phase := range []int64{0, 0, 1, 1} {
@@ -125,6 +126,10 @@ func TestBarrierPhaseArgSummarizesAsRegion(t *testing.T) {
 		ev.Region, ev.Args[0] = "barrier3", Arg{Key: ArgPhase, Val: phase}
 		inArg.Events = append(inArg.Events, ev)
 	}
+	fire := Event{TS: 450, Ph: PhaseInstant, TID: 1, Cat: CatMPI, Name: NameWatchdog, Region: "barrier3#2"}
+	inRegion.Events = append(inRegion.Events, fire)
+	fire.Region, fire.Args[0] = "barrier3", Arg{Key: ArgPhase, Val: 2}
+	inArg.Events = append(inArg.Events, fire)
 	var buf bytes.Buffer
 	if err := inArg.WriteChrome(&buf); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
@@ -141,8 +146,8 @@ func TestBarrierPhaseArgSummarizesAsRegion(t *testing.T) {
 		return sb.String()
 	}
 	want := summary(inRegion)
-	if !strings.Contains(want, "barrier3#1: participants=2") {
-		t.Fatalf("summary lacks phase 1 of barrier3:\n%s", want)
+	if !strings.Contains(want, "barrier3#1: participants=2") || !strings.Contains(want, "region=barrier3#2 ") {
+		t.Fatalf("summary lacks phase 1 of barrier3 or the watchdog's phase 2:\n%s", want)
 	}
 	for name, tr := range map[string]*Trace{"phase arg": inArg, "round trip": roundTrip} {
 		if got := summary(tr); got != want {

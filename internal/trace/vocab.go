@@ -28,13 +28,13 @@ const (
 	// NameChunk is one chunk grant (instant, per TID, args lo/n).
 	NameChunk = "chunk"
 	// NameBarrierWait is one participant's barrier wait span (per
-	// TID/rank). OMP barriers set Region "barrier<instance>" and the
-	// phase in ArgPhase; MPI barriers set Region
-	// "barrier<instance>#<phase>". Either way the summary keys one
-	// barrier phase and prints it as "barrier<instance>#<phase>", so
-	// distinct barrier instances never merge.
+	// TID/rank). OMP and MPI barriers set Region "barrier<instance>"
+	// and the phase in ArgPhase. The summary keys one barrier phase and
+	// prints it as "barrier<instance>#<phase>", so distinct barrier
+	// instances never merge.
 	NameBarrierWait = "barrier.wait"
-	// NameWatchdog is the MPI deadlock watchdog firing (instant).
+	// NameWatchdog is the MPI deadlock watchdog firing (instant,
+	// Region "barrier<instance>", the phase in ArgPhase).
 	NameWatchdog = "watchdog"
 	// NameWarmup is a workload's warmup phase span (Region = workload).
 	NameWarmup = "warmup"
